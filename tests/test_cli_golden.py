@@ -1,0 +1,85 @@
+"""Frozen CLI behaviour: exit code and stdout, byte for byte, for every
+fixture under each subcommand in both output formats.
+
+The expected values live in cli_golden.json next to this file.  Re-record
+them only for an intended output change, and say so in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+
+import pytest
+
+from gentlekit.cli import main
+
+HERE = pathlib.Path(__file__).parent
+GOLDEN = HERE / "cli_golden.json"
+FIXTURES = HERE / "fixtures"
+
+
+def cases():
+    """Argument vectors, with fixture paths relative to the tests folder."""
+    names = sorted(p.name for p in FIXTURES.iterdir())
+    quivers = ["fixtures/" + n for n in names if not n.endswith(".brauer.json")]
+    brauers = ["fixtures/" + n for n in names if n.endswith(".brauer.json")]
+    out = []
+    for fmt in ("text", "json"):
+        tail = ["--format", fmt]
+        for q in quivers:
+            out += [["analyze", q] + tail,
+                    ["analyze", q, "--dot"] + tail,
+                    ["aag", q] + tail,
+                    ["coxeter", q] + tail,
+                    ["roots", q, "--max-len", "5"] + tail,
+                    ["walk", q, "--walk", "1"] + tail,
+                    ["compare", q, "fixtures/amiot1.quiver"] + tail]
+        out += [["brauer", b] + tail for b in brauers]
+        out.append(["selftest", "--count", "30", "--seed", "3"] + tail)
+    return out
+
+
+def run(argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    resolved = [str(HERE / a) if a.startswith("fixtures/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(resolved)
+    return code, out.getvalue()
+
+
+def key(argv):
+    return " ".join(argv)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", cases(), ids=key)
+def test_cli_output_is_unchanged(argv, golden, monkeypatch):
+    monkeypatch.delenv("GENTLEKIT_SEED", raising=False)
+    code, stdout = run(argv)
+    want = golden[key(argv)]
+    assert code == want["exit"]
+    assert stdout == want["stdout"]
+
+
+def record():
+    os.environ.pop("GENTLEKIT_SEED", None)
+    data = {}
+    for argv in cases():
+        code, stdout = run(argv)
+        data[key(argv)] = {"exit": code, "stdout": stdout}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print("recorded %d cases in %s" % (len(data), GOLDEN.name))
+
+
+if __name__ == "__main__":
+    record()
