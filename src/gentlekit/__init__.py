@@ -19,8 +19,7 @@ from .walks import (Face, NotConcatenable, NotReduced, UnknownEdge, Walk,
                     anti_walk, anti_walks, classify_walk, connecting_path,
                     deg_step, degree, enumerate_belts, enumerate_reduced_walks,
                     faces, incidence_vector, is_belt, parse_walk, plus_ops,
-                    reduced_concat, resolvable_classify, to_walk,
-                    trivial_walk)
+                    reduced_concat, to_walk, trivial_walk)
 from .invariants import (AAGInvariant, EulerAnalysis, Fingerprint,
                          aag_invariant, compare, coxeter, euler_analysis,
                          fingerprint, multi_clock)

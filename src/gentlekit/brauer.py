@@ -27,7 +27,7 @@ class BrauerGraph:
             for v, m in multiplicity.items():
                 if v not in mult:
                     raise ValueError("multiplicity for unknown vertex %r" % (v,))
-                if not isinstance(m, int) or m < 1:
+                if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                     raise ValueError("multiplicity of %r must be a positive "
                                      "integer" % (v,))
                 mult[v] = m

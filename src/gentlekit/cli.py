@@ -17,13 +17,13 @@ from .derived import (BandComplex, ar_translate, build_string_complex,
                       enumerate_perfect_classes, k0_class, root_classify)
 from .errors import InternalMismatch
 from .invariants import aag_invariant, compare, coxeter, euler_analysis, \
-    fingerprint, FINGERPRINT_FIELDS
+    fingerprint, ribbon_faces, FINGERPRINT_FIELDS
 from .quiver import load_gentle
 from .ribbon import (dot_export, from_ribbon, half_name,
                      quiver_canonical_form, random_marked_ribbon_graph,
                      ribbon_canonical_form, ribbon_from_json, to_ribbon)
-from .walks import classify_walk, enumerate_reduced_walks, faces, \
-    incidence_vector, parse_walk
+from .walks import classify_walk, enumerate_reduced_walks, incidence_vector, \
+    parse_walk
 
 
 def _load_quiver(path):
@@ -107,7 +107,7 @@ def _analysis_text(gq):
                         half_name(g, src), half_name(g, tgt)))
     lines.append("")
     lines.append("faces:")
-    for f in faces(g):
+    for f in ribbon_faces(gq):
         n, m = f.pair
         lines.append("  %-24s length %d, closed degree %d, (n,m)=(%d,%d)%s"
                      % (f.walk.render(), f.length, f.deg_closed, n, m,
@@ -272,19 +272,14 @@ def _check_one(gq):
     """Identity suite for one gentle quiver; raises on any failure."""
     from .exact_linalg import qform_eval
 
-    euler_analysis(gq)
+    c = euler_analysis(gq).gramProjectives
     aag_invariant(gq)
     psi, _, _ = coxeter(gq)
     g = to_ribbon(gq)
     if quiver_canonical_form(from_ribbon(g)) != quiver_canonical_form(gq):
         raise InternalMismatch("quiver -> graph -> quiver changed the quiver")
-    c = None
     for w in enumerate_reduced_walks(g, 4):
         vec = incidence_vector(w)
-        if c is None:
-            from .quiver import cartan_matrix
-            cm = cartan_matrix(gq)
-            c = cm + cm.transpose()
         val = qform_eval(c, vec)
         # open walks carry 1-roots, closed walks 0 or 2 by length parity;
         # a belt-shaped walk is still open as a walk

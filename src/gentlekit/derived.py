@@ -10,8 +10,7 @@ automorphism enters any invariant computed here, so it is kept as a number.
 
 from .errors import BoundTooLarge, InternalMismatch
 from .exact_linalg import is_positive_definite, qform_eval, root_counts
-from .invariants import multi_clock
-from .quiver import cartan_matrix
+from .invariants import euler_analysis, multi_clock
 from .ribbon import to_ribbon_with_maps
 from .walks import (NotReduced, Walk, classify_walk, connecting_path,
                     enumerate_reduced_walks, incidence_vector, plus_ops)
@@ -151,8 +150,7 @@ _ROOT_NOTES = {
 
 
 def root_classify(gq, x):
-    c = cartan_matrix(gq)
-    val = qform_eval(c + c.transpose(), x)
+    val = qform_eval(euler_analysis(gq).gramProjectives, x)
     tag = {0: "0-root", 1: "1-root", 2: "2-root"}.get(val, "other")
     return RootClassification(val, tag, _ROOT_NOTES[tag])
 
@@ -190,8 +188,7 @@ def enumerate_perfect_classes(gq, max_len=10, hard_limit=10,
         raise BoundTooLarge("walk length bound %d exceeds the limit %d"
                             % (max_len, hard_limit))
     g, _ = to_ribbon_with_maps(gq)
-    c = cartan_matrix(gq)
-    gram = c + c.transpose()
+    gram = euler_analysis(gq).gramProjectives
     n = len(gq.vertices)
     positive = is_positive_definite(gram)
 

@@ -11,15 +11,20 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InternalMismatch
-from .exact_linalg import (IntMatrix, IntPolynomial, char_poly, det,
-                           is_positive_semidefinite, rank_corank)
-from .quiver import cartan_matrix
+from .exact_linalg import IntMatrix, IntPolynomial, char_poly, det, rank_corank
+from .quiver import cartan_matrix, per_quiver
 from .ribbon import (forbidden_ribbon, incidence_matrix, is_bipartite,
                      to_ribbon)
 from .walks import anti_walk, faces, incidence_vector
 
 
-@dataclass
+@per_quiver
+def ribbon_faces(gq):
+    """faces(to_ribbon(gq)), computed once per quiver."""
+    return faces(to_ribbon(gq))
+
+
+@dataclass(frozen=True)
 class EulerAnalysis:
     gramProjectives: IntMatrix
     gramSimples: object          # IntMatrix or None for infinite gl.dim
@@ -92,7 +97,14 @@ def _dynkin_tag(unit, nabla, rank, two_v_minus_a):
     return "C%d" % rank if rank >= 2 else "HalfA1"
 
 
+@per_quiver
 def euler_analysis(gq):
+    """The Euler form in the projectives basis (C + C^tr) and, for finite
+    global dimension, in the simples basis, with rank and Dynkin data.
+
+    Both Gram matrices are built as B B^tr from an incidence matrix B, so
+    they are non-negative: x^tr B B^tr x = |B^tr x|^2.
+    """
     nv = len(gq.vertices)
     na = len(gq.arrows)
     c = cartan_matrix(gq)
@@ -101,8 +113,6 @@ def euler_analysis(gq):
     inc = incidence_matrix(g)
     if inc * inc.transpose() != gram:
         raise InternalMismatch("Gram matrix differs from incidence product")
-    if not is_positive_semidefinite(gram):
-        raise InternalMismatch("projectives Gram matrix is not non-negative")
 
     nabla = 1 if is_bipartite(g) else 0
     if nabla != multi_clock(gq):
@@ -124,8 +134,6 @@ def euler_analysis(gq):
         gram_s = inc_hat * inc_hat.transpose()
         if c * gram_s * c.transpose() != gram:
             raise InternalMismatch("simples Gram fails the base-change identity")
-        if not is_positive_semidefinite(gram_s):
-            raise InternalMismatch("simples Gram matrix is not non-negative")
         unit_s = all(gram_s.rows[i][i] == 2 for i in range(nv))
         conn_s = _connected_support(gram_s)
         if not conn_s:
@@ -167,17 +175,11 @@ class AAGInvariant:
         return "AAGInvariant(%s)" % self
 
 
-def _threads_by_target(threads):
+def _threads_by(end, threads):
+    """Threads grouped by one end vertex; end is "source" or "target"."""
     at = {}
     for th in threads:
-        at.setdefault(th.target, []).append(th)
-    return at
-
-
-def _threads_by_source(threads):
-    at = {}
-    for th in threads:
-        at.setdefault(th.source, []).append(th)
+        at.setdefault(getattr(th, end), []).append(th)
     return at
 
 
@@ -212,14 +214,14 @@ def _orbit_pairs(gq):
     Relation cycles contribute (0, length) each.
     """
     to_forb = {}
-    forb_by_t = _threads_by_target(gq.forbidden)
-    for v, perms in _threads_by_target(gq.permitted).items():
+    forb_by_t = _threads_by("target", gq.forbidden)
+    for v, perms in _threads_by("target", gq.permitted).items():
         forbs = forb_by_t.get(v, [])
         to_forb.update(_match_at_vertex(v, perms, forbs,
                                         lambda th: th.terminating_arrow))
     to_perm = {}
-    perm_by_s = _threads_by_source(gq.permitted)
-    for v, forbs in _threads_by_source(gq.forbidden).items():
+    perm_by_s = _threads_by("source", gq.permitted)
+    for v, forbs in _threads_by("source", gq.forbidden).items():
         perms = perm_by_s.get(v, [])
         to_perm.update(_match_at_vertex(v, forbs, perms,
                                         lambda th: th.initial_arrow))
@@ -246,11 +248,12 @@ def _orbit_pairs(gq):
     return pairs
 
 
+@per_quiver
 def aag_invariant(gq):
     """Face route cross-checked against the thread-orbit route."""
     g = to_ribbon(gq)
     face_pairs = []
-    for f in faces(g):
+    for f in ribbon_faces(gq):
         n, m = f.pair
         if f.is_full != (n == 0):
             raise InternalMismatch("face fullness disagrees with its n value")
@@ -272,6 +275,7 @@ def aag_invariant(gq):
 # --- Coxeter transformation ------------------------------------------------
 
 
+@per_quiver
 def coxeter(gq):
     """(matrix, characteristic polynomial, product-formula polynomial).
 
@@ -320,7 +324,7 @@ def coxeter(gq):
 # --- fingerprints ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fingerprint:
     numQVertices: int
     numQArrows: int
@@ -342,10 +346,11 @@ FINGERPRINT_FIELDS = ("numQVertices", "numQArrows", "numGVertices",
                       "faceProfile")
 
 
+@per_quiver
 def fingerprint(gq):
     ea = euler_analysis(gq)
     g = to_ribbon(gq)
-    fs = faces(g)
+    fs = ribbon_faces(gq)
     _, poly, _ = coxeter(gq)
     return Fingerprint(
         numQVertices=len(gq.vertices),

@@ -9,12 +9,16 @@ The DSL accepted by parse_quiver:
 
     # comment
     vertices 1 2 3;
-    arrow a1: 1 -> 2;
-    rel a2.a1;
+    arrow a1: 1 -> 2; arrow a2: 2 -> 3
+    rel a2.a1
 
-Vertex ids are positive integers, arrow names are identifiers.
+A statement ends at ';' or at the end of its line; ';' followed by a line
+break is one terminator, and blank or comment-only lines are skipped.  The
+last statement still needs a terminator, so text ending mid-statement is an
+error.  Vertex ids are positive integers, arrow names are identifiers.
 """
 
+import functools
 import re
 from collections import namedtuple
 
@@ -117,12 +121,16 @@ class BoundQuiver:
 
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|->|[:;.]")
+# token for a line break that ends a statement; no identifier has a space
+_NEWLINE = "line break"
 
 
 def _tokenize(text):
     toks = []
-    for ln, line in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(keepends=True), start=1):
+        line = raw.splitlines()[0]
         body = line.split("#", 1)[0]
+        first = len(toks)
         pos = 0
         while pos < len(body):
             ch = body[pos]
@@ -134,6 +142,8 @@ def _tokenize(text):
                 raise QuiverSyntaxError("unexpected character %r" % ch, ln, pos + 1)
             toks.append((m.group(0), ln, pos + 1))
             pos = m.end()
+        if len(line) < len(raw) and len(toks) > first and toks[-1][0] != ";":
+            toks.append((_NEWLINE, ln, len(line) + 1))
     return toks
 
 
@@ -172,6 +182,12 @@ def parse_quiver(text):
             raise QuiverSyntaxError("expected %s, found %r" % (what, tok), ln, col)
         return tok
 
+    def end_statement():
+        tok, ln, col = take(what="';' or a line break")
+        if tok not in (";", _NEWLINE):
+            raise QuiverSyntaxError("expected ';' or a line break, found %r" % tok,
+                                    ln, col)
+
     while i < len(toks):
         tok, ln, col = toks[i]
         if tok == "vertices":
@@ -181,7 +197,7 @@ def parse_quiver(text):
                 raise QuiverSyntaxError("expected vertex id, found %r" % t2, l2, c2)
             while (peek() or "").isdigit():
                 vertices.append(take_int("vertex id"))
-            take(";")
+            end_statement()
         elif tok == "arrow":
             i += 1
             name = take_name("arrow name")
@@ -189,14 +205,14 @@ def parse_quiver(text):
             src = take_int("source vertex")
             take("->")
             tgt = take_int("target vertex")
-            take(";")
+            end_statement()
             arrows.append((name, src, tgt))
         elif tok == "rel":
             i += 1
             first = take_name("arrow name")
             take(".")
             second = take_name("arrow name")
-            take(";")
+            end_statement()
             relations.append((first, second))
         else:
             raise QuiverSyntaxError("expected 'vertices', 'arrow' or 'rel', found %r"
@@ -278,7 +294,8 @@ class GentleQuiver:
             for t, name in enumerate(th.arrows, start=1):
                 self.forbidden_pos[name] = (th.index, t)
         # the two permitted half-positions centered at each vertex, sorted
-        self.halves_at = _centers(self.permitted, self.base.vertices)
+        self.halves_at = thread_centers(self.permitted, self.base.vertices)
+        self._memo = {}
 
     @property
     def vertices(self):
@@ -292,14 +309,26 @@ class GentleQuiver:
     def relations(self):
         return self.base.relations
 
-    def permitted_by_tid(self, tid):
-        for th in self.permitted:
-            if th.tid == tid:
-                return th
-        raise KeyError(tid)
+
+def per_quiver(fn):
+    """Compute fn(gq) once per GentleQuiver and keep the result on gq.
+
+    Every later call returns that same object, so callers share it and must
+    treat it as read-only.  A call that raises stores nothing.
+    """
+    @functools.wraps(fn)
+    def once(gq):
+        try:
+            return gq._memo[fn]
+        except KeyError:
+            result = gq._memo[fn] = fn(gq)
+            return result
+    return once
 
 
-def _centers(threads, vertices):
+def thread_centers(threads, vertices):
+    """The two (thread index, position) pairs sitting at each vertex, sorted:
+    the two halves of that vertex's edge in the split-thread graph."""
     at = {v: [] for v in vertices}
     for th in threads:
         for pos, v in enumerate(th.vertices):
@@ -479,6 +508,7 @@ def validate_gentle(q):
     return GentleQuiver(q, permitted, forbidden, cycles)
 
 
+@per_quiver
 def cartan_matrix(gq):
     """Matrix of composable-word counts: entry (j, i) counts words from i to j.
 

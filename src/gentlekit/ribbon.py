@@ -12,7 +12,7 @@ run of arrows with relations between consecutive chains.
 import json
 
 from .errors import InfiniteGlobalDimension
-from .quiver import BoundQuiver, validate_gentle
+from .quiver import BoundQuiver, per_quiver, thread_centers, validate_gentle
 
 
 class RibbonGraph:
@@ -92,9 +92,6 @@ class RibbonGraph:
     def z(self, half):
         return self.vertices[half[0]]
 
-    def chain_of(self, half):
-        return self.chains[half[0]]
-
     def rho(self, half):
         """Rotate one step up the chain; the top wraps to the bottom."""
         i, p = half
@@ -140,20 +137,6 @@ class RibbonGraph:
                                                        len(self.edges))
 
 
-class Bidirection:
-    """Sign function on half-edges with opposite signs across each edge."""
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, graph, sigma):
-        self.sigma = dict(sigma)
-        for h, other in graph.iota.items():
-            if self.sigma.get(h) not in (1, -1):
-                raise ValueError("missing sign for half-edge %r" % (h,))
-            if self.sigma[h] != -self.sigma[other]:
-                raise ValueError("signs across edge %r do not alternate" % (h,))
-
-
 def incidence_matrix(g, sigma=None):
     """Edge-by-vertex matrix: each half contributes its sign to its vertex.
 
@@ -162,8 +145,6 @@ def incidence_matrix(g, sigma=None):
     """
     from .exact_linalg import IntMatrix
 
-    if isinstance(sigma, Bidirection):
-        sigma = sigma.sigma
     rows = []
     for e in g.edges:
         row = [0] * len(g.vertices)
@@ -196,8 +177,6 @@ def is_bipartite(g):
 def is_balanced(g, sigma):
     """Can vertex signs phi be chosen with phi(u)phi(v) == -sigma(h)sigma(h')
     for every edge {h, h'}?  Loops force their own sign condition."""
-    if isinstance(sigma, Bidirection):
-        sigma = sigma.sigma
     n = len(g.vertices)
     adj = {i: [] for i in range(n)}
     for tgt, src in g.edge_halves.values():
@@ -222,22 +201,12 @@ def is_balanced(g, sigma):
     return True
 
 
-def _graph_from_threads(threads, vertices_in_order):
-    """Common core of the permitted and forbidden constructions."""
-    at = {}
-    for th in threads:
-        for pos, v in enumerate(th.vertices):
-            at.setdefault(v, []).append((th.index, pos))
-    pairs = []
-    for v in vertices_in_order:
-        halves = sorted(at.get(v, ()))
-        if len(halves) != 2:
-            raise AssertionError("vertex %s is the center of %d thread positions"
-                                 % (v, len(halves)))
-        pairs.append((v, halves[0], halves[1]))
+def _graph_from_threads(threads, centers):
+    """Common core of the permitted and forbidden constructions; centers is
+    thread_centers(threads, quiver vertices)."""
     return RibbonGraph([th.tid for th in threads],
                        [th.length + 1 for th in threads],
-                       pairs)
+                       [(v, lo, hi) for v, (lo, hi) in centers.items()])
 
 
 def to_ribbon(gq):
@@ -246,9 +215,10 @@ def to_ribbon(gq):
     return to_ribbon_with_maps(gq)[0]
 
 
+@per_quiver
 def to_ribbon_with_maps(gq):
     """Also return the map arrow name -> chain step (half at written position t)."""
-    g = _graph_from_threads(gq.permitted, gq.vertices)
+    g = _graph_from_threads(gq.permitted, gq.halves_at)
     arrow_half = {name: (ti, t) for name, (ti, t) in gq.permitted_pos.items()}
     return g, arrow_half
 
@@ -272,7 +242,8 @@ def forbidden_ribbon(gq):
     if not gq.global_dimension_finite:
         raise InfiniteGlobalDimension(
             "relation cycle present: %s" % " ".join(gq.full_cycles[0]))
-    g = _graph_from_threads(gq.forbidden, gq.vertices)
+    g = _graph_from_threads(gq.forbidden,
+                            thread_centers(gq.forbidden, gq.vertices))
     sigma_hat = {}
     for th in gq.forbidden:
         for pos in range(th.length + 1):
@@ -328,6 +299,8 @@ def ribbon_canonical_form(g):
 
 # --- JSON input / output ------------------------------------------------
 
+_ARRAY = (list, tuple)
+
 
 def ribbon_from_json(data, min_degree_two=True):
     """Accepts a dict or JSON text with vertices (ordered half-edge ids,
@@ -340,10 +313,16 @@ def ribbon_from_json(data, min_degree_two=True):
         iota = data["iota"]
     except (KeyError, TypeError):
         raise ValueError("ribbon JSON needs 'vertices' and 'iota'")
+    if not (isinstance(vlist, _ARRAY) and isinstance(iota, _ARRAY)):
+        raise ValueError("ribbon JSON 'vertices' and 'iota' must be arrays")
     names = {}
     vertices = []
     counts = []
     for i, entry in enumerate(vlist):
+        if not (isinstance(entry, dict) and "id" in entry
+                and isinstance(entry.get("halfEdges"), _ARRAY)):
+            raise ValueError("vertex entry %d needs an 'id' and a 'halfEdges' "
+                             "array" % i)
         vid = str(entry["id"])
         halves = entry["halfEdges"]
         if not halves:
@@ -357,7 +336,7 @@ def ribbon_from_json(data, min_degree_two=True):
             names[hname] = (i, p)
     raw_pairs = []
     for pair in iota:
-        if len(pair) != 2:
+        if not isinstance(pair, _ARRAY) or len(pair) != 2:
             raise ValueError("iota entries must be pairs")
         a, b = str(pair[0]), str(pair[1])
         if a not in names or b not in names:

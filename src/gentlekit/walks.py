@@ -414,79 +414,13 @@ def plus_ops(w):
     return PlusOps(left, right, both, to_t.length - 2)
 
 
-# --- resolvable walks ------------------------------------------------------
-
-
-class _FaceIndex:
-    def __init__(self, g):
-        self.full_face_of = {}
-        for f in faces(g):
-            if f.is_full:
-                for t, oe in enumerate(f.walk.edges):
-                    self.full_face_of[oe] = (f.walk.edges, t)
-
-    def face_prefix_matches(self, edges):
-        """Does the word read along the full face through its first edge?"""
-        hit = self.full_face_of.get(edges[0])
-        if hit is None:
-            return False
-        cyc, t0 = hit
-        n = len(cyc)
-        return all(edges[k] == cyc[(t0 + k) % n] for k in range(len(edges)))
-
-
-def _left_resolvable(g, edges, fidx):
-    if edges[0] not in fidx.full_face_of:
-        return False
-    cum = 0
-    for t in range(len(edges) - 1):
-        cum += deg_step(g, edges[t], edges[t + 1])
-        if cum < 0:
-            return False
-    return True
-
-
-def _left_primitive(g, edges, fidx):
-    for s in range(2, len(edges)):
-        if (fidx.face_prefix_matches(edges[:s])
-                and _left_resolvable(g, edges[s - 1:], fidx)):
-            return False
-    return True
-
-
-def resolvable_classify(w, fidx=None):
-    """Resolvability of a reduced walk with at least two edges.
-
-    Returns (kind, primitive) with kind one of left / right / two-sided /
-    none.  A walk is right resolvable when its inverse is left resolvable,
-    and primitivity follows the same duality.
-    """
-    if not w.reduced:
-        raise NotReduced("resolvability needs a reduced walk")
-    g = w.graph
-    if fidx is None:
-        fidx = _FaceIndex(g)
-    if w.length < 2:
-        return ("none", False)
-    fwd = list(w.edges)
-    bwd = list(w.inverse().edges)
-    left = _left_resolvable(g, fwd, fidx)
-    right = _left_resolvable(g, bwd, fidx)
-    if left and right:
-        prim = _left_primitive(g, fwd, fidx) and _left_primitive(g, bwd, fidx)
-        return ("two-sided", prim)
-    if left:
-        return ("left", _left_primitive(g, fwd, fidx))
-    if right:
-        return ("right", _left_primitive(g, bwd, fidx))
-    return ("none", False)
-
-
 # --- enumeration -----------------------------------------------------------
 
 
 def enumerate_reduced_walks(g, max_len):
     """All reduced walks with 1..max_len edges, in a deterministic order."""
+    if max_len < 1:
+        raise ValueError("walk length bound must be at least 1, got %d" % max_len)
     out = []
     extensions = {}
     for vid in g.vertices:
@@ -530,12 +464,3 @@ def enumerate_belts(g, max_core_len):
         belts.append(cand)
     return belts
 
-
-def canonical_walk_rep(m, w):
-    """Normalize a shifted walk under inversion: the inverse pair
-    (m + degree, inverse walk) represents the same object; keep the
-    lexicographically smaller word."""
-    wi = w.inverse()
-    if wi.sort_key() < w.sort_key():
-        return (m + degree(w), wi)
-    return (m, w)

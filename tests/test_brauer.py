@@ -139,6 +139,8 @@ def test_multiplicity_validation():
         BrauerGraph(tri, {"u": 0, "v": 1, "w": 1})
     with pytest.raises(ValueError):
         BrauerGraph(tri, {"nope": 1})
+    with pytest.raises(ValueError):
+        BrauerGraph(tri, {"u": True})
     # omitted vertices default to multiplicity one
     bg = BrauerGraph(tri, {"v": 2})
     assert bg.multiplicity == {"u": 1, "v": 2, "w": 1}

@@ -121,10 +121,14 @@ def test_roots(capsys):
 
 
 def test_roots_bound_guard(capsys):
-    code, _, err = run_cli(capsys, "roots", fx("tree.quiver"),
-                           "--max-len", "40")
-    assert code == 2
-    assert "exceeds the limit" in err
+    for fixture, bound, message in [
+            ("tree.quiver", "40", "exceeds the limit"),
+            ("tree.quiver", "0", "at least 1"),
+            ("amiot1.quiver", "0", "at least 1"),
+            ("amiot1.quiver", "-3", "at least 1")]:
+        code, _, err = run_cli(capsys, "roots", fx(fixture), "--max-len", bound)
+        assert code == 2
+        assert message in err
 
 
 def test_aag(capsys):
@@ -155,6 +159,29 @@ def test_brauer_command(capsys):
     assert data["definiteness"] == "positive-definite"
     assert data["tag"] == "odd-1-cycle"
     assert data["repType"] is None
+
+
+@pytest.mark.parametrize("command,suffix,text", [
+    ("analyze", ".rgraph.json", '{"vertices": [1, 2], "iota": []}'),
+    ("analyze", ".rgraph.json", '{"vertices": [{"id": "u"}], "iota": []}'),
+    ("analyze", ".rgraph.json", '{"vertices": {"u": 1}, "iota": []}'),
+    ("analyze", ".rgraph.json",
+     '{"vertices": [{"id": "u", "halfEdges": 2}], "iota": []}'),
+    ("analyze", ".rgraph.json",
+     '{"vertices": [{"id": "u", "halfEdges": ["a", "b"]}], "iota": [7]}'),
+    ("brauer", ".brauer.json", '{"vertices": [1, 2], "iota": []}'),
+    ("brauer", ".brauer.json", '{"vertices": [{"id": "u"}], "iota": []}'),
+    ("brauer", ".brauer.json",
+     '{"vertices": [{"id": "u", "halfEdges": ["a"], "multiplicity": true},'
+     ' {"id": "v", "halfEdges": ["b"]}], "iota": [["a", "b"]]}'),
+])
+def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
+    path = tmp_path / ("bad" + suffix)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_file(capsys):

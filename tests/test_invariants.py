@@ -1,5 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
+
+import pytest
 
 from gentlekit import (
     cartan_matrix,
@@ -19,6 +22,7 @@ from gentlekit.invariants import (
     fingerprint,
     multi_clock,
 )
+from gentlekit.walks import parse_walk
 
 from conftest import FIXTURE_NAMES, load_fixture
 
@@ -213,6 +217,21 @@ def test_fingerprint_fields_and_compare():
 
     for field in ("nabla", "corank", "aag", "coxeterPoly"):
         assert field in FINGERPRINT_FIELDS
+
+
+def test_per_quiver_results_are_shared_and_frozen():
+    gq = load_fixture("amiot1")
+    for fn in (to_ribbon, cartan_matrix, euler_analysis, aag_invariant,
+               coxeter, fingerprint):
+        assert fn(gq) is fn(gq), fn.__name__
+    assert parse_walk(to_ribbon(gq), "-1 3 5") == parse_walk(to_ribbon(gq),
+                                                             "-1 3 5")
+    # a quiver loaded again gets results of its own
+    assert euler_analysis(load_fixture("amiot1")) is not euler_analysis(gq)
+    for result, field in ((euler_analysis(gq), "nabla"),
+                          (fingerprint(gq), "corank")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, field, 7)
 
 
 def test_random_euler_identities():

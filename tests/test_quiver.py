@@ -17,11 +17,12 @@ from gentlekit.quiver import (
     QuiverStructureError,
     QuiverSyntaxError,
     StringFunctionPair,
+    parse_quiver,
     render_quiver,
 )
 from gentlekit.ribbon import quiver_canonical_form
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, fixture_text, load_fixture
 
 
 def test_parse_basics():
@@ -48,6 +49,33 @@ def test_parse_errors():
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\narrow a1: 2 -> 1;")
     with pytest.raises(QuiverStructureError):
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\nrel b.a1;")
+
+
+def test_readme_newline_example():
+    q = parse_quiver("vertices 1 2 3\n"
+                     "arrow a1: 2 -> 3\n"
+                     "arrow a2: 1 -> 2\n"
+                     "rel a1.a2\n")
+    assert q == parse_quiver("vertices 1 2 3; arrow a1: 2 -> 3;\n"
+                             "arrow a2: 1 -> 2; rel a1.a2;")
+    # blank and comment-only lines between statements are skipped
+    assert q == parse_quiver("vertices 1 2 3  # three\n\n# arrows\n"
+                             "arrow a1: 2 -> 3;\r\narrow a2: 1 -> 2\n"
+                             "rel a1.a2;\n")
+    with pytest.raises(QuiverSyntaxError, match="line break"):
+        parse_quiver("vertices 1 2 3\narrow a1: 2 ->\n3\n")
+
+
+def newline_form(text):
+    return "".join(line.rstrip().rstrip(";") + "\n"
+                   for line in text.splitlines())
+
+
+def test_newline_form_parses_the_same():
+    for name in FIXTURE_NAMES:
+        text = fixture_text(name)
+        assert ";" not in newline_form(text), name
+        assert parse_quiver(newline_form(text)) == parse_quiver(text), name
 
 
 def test_gentleness_violations():

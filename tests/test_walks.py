@@ -11,7 +11,6 @@ from gentlekit.walks import (
     Walk,
     anti_walk,
     anti_walks,
-    canonical_walk_rep,
     classify_walk,
     connecting_path,
     deg_step,
@@ -24,7 +23,6 @@ from gentlekit.walks import (
     parse_walk,
     plus_ops,
     reduced_concat,
-    resolvable_classify,
     to_walk,
     trivial_walk,
 )
@@ -214,14 +212,6 @@ def test_plus_ops_frozen():
         plus_ops(trivial_walk(gL, "a1"))
 
 
-def test_resolvable_classify():
-    gX = _ribbon("twosided")
-    assert resolvable_classify(parse_walk(gX, "-1 2 -3")) == ("two-sided", True)
-    gL = _ribbon("loop")
-    assert resolvable_classify(parse_walk(gL, "1 1")) == ("left", True)
-    assert resolvable_classify(parse_walk(gL, "1")) == ("none", False)
-
-
 def test_enumerate_reduced_walks():
     gL = _ribbon("loop")
     assert sorted(w.render() for w in enumerate_reduced_walks(gL, 3)) == [
@@ -230,6 +220,9 @@ def test_enumerate_reduced_walks():
         g = _ribbon(name)
         for w in enumerate_reduced_walks(g, 4):
             assert w.reduced, name
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            enumerate_reduced_walks(gL, bound)
 
 
 def test_enumerate_belts_frozen():
@@ -245,16 +238,6 @@ def test_enumerate_belts_frozen():
         "-1 2 -1", "1 -2 1"]
     assert enumerate_belts(_ribbon("tree"), 6) == []
     assert enumerate_belts(_ribbon("loop"), 6) == []
-
-
-def test_canonical_walk_rep():
-    g = _ribbon("sixvertex")
-    w = parse_walk(g, "2 -3 -5 4 6 -2 1")
-    m1, w1 = canonical_walk_rep(0, w)
-    m2, w2 = canonical_walk_rep(0 + degree(w), w.inverse())
-    assert (m1, w1) == (m2, w2)
-    m3, w3 = canonical_walk_rep(m1, w1)
-    assert (m3, w3) == (m1, w1)
 
 
 def test_walk_prefix_and_sort_key():
