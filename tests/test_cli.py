@@ -1,9 +1,11 @@
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import gentlekit
 from gentlekit.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -211,6 +213,8 @@ def test_parser_rejects_unknown_command():
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "gentlekit.cli", "aag", fx("tree.quiver")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        # run the copy under test, whether installed or on pytest's pythonpath
+        cwd=pathlib.Path(gentlekit.__file__).parent.parent)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{(3,1)}"

@@ -35,6 +35,41 @@ def test_det_and_char_poly():
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
 
 
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j]
+               * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(11)
+    cases = []
+    for n in range(7):
+        for _ in range(25):
+            cases.append([[rng.randrange(-3, 4) for _ in range(n)]
+                          for _ in range(n)])
+    # a zero leading entry forces a row swap; repeated or zero rows and a
+    # zero column make the matrix singular
+    cases += [
+        [[0, 1], [1, 0]],
+        [[0, 2, 1], [0, 1, 3], [1, 1, 1]],
+        [[0, 0, 1, 2], [0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1]],
+        [[1, 2, 3], [1, 2, 3], [0, 1, 1]],
+        [[1, 2, 3], [0, 0, 0], [2, 1, 0]],
+        [[0, 1, 2], [0, 3, 1], [0, 2, 2]],
+        [[2, -1, 3], [4, -2, 6], [1, 1, 1]],
+    ]
+    singular = swapped = 0
+    for rows in cases:
+        want = _cofactor_det(rows)
+        assert det(IntMatrix(rows)) == want, rows
+        singular += want == 0
+        swapped += bool(rows) and rows[0][0] == 0
+    assert singular >= 10 and swapped >= 10
+
+
 def test_char_poly_matches_rank_on_random_symmetric():
     rng = random.Random(5)
     for _ in range(40):

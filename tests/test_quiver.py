@@ -79,12 +79,18 @@ def test_newline_form_parses_the_same():
 
 
 def test_gentleness_violations():
-    with pytest.raises(GentlenessViolation):
+    with pytest.raises(GentlenessViolation, match="condition a"):
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\narrow a2: 1 -> 2;\n"
                     "arrow a3: 1 -> 2;")
-    with pytest.raises(GentlenessViolation):
+    with pytest.raises(GentlenessViolation, match="condition b"):
+        load_gentle("vertices 1 2 3 4;\narrow a1: 1 -> 4;\narrow b1: 2 -> 4;\n"
+                    "arrow c1: 3 -> 4;")
+    with pytest.raises(GentlenessViolation, match="arrow c1 .*condition c"):
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\narrow b1: 1 -> 2;\n"
                     "arrow c1: 2 -> 1;\nrel c1.a1; rel c1.b1;")
+    with pytest.raises(GentlenessViolation, match="arrow c1 .*condition d"):
+        load_gentle("vertices 1 2 3;\narrow a1: 1 -> 2;\narrow b1: 1 -> 2;\n"
+                    "arrow c1: 2 -> 3;\nrel c1.a1; rel c1.b1;")
     # a loop with no relation generates arbitrarily long paths
     with pytest.raises(NotAdmissible):
         load_gentle("vertices 1;\narrow a1: 1 -> 1;")
