@@ -303,6 +303,8 @@ def _check_one(gq):
 
 
 def cmd_selftest(args):
+    if args.count < 1:
+        raise ValueError("--count must be at least 1, got %d" % args.count)
     seed = args.seed
     env = os.environ.get("GENTLEKIT_SEED")
     if env is not None:

@@ -9,7 +9,7 @@ automorphism enters any invariant computed here, so it is kept as a number.
 """
 
 from .errors import BoundTooLarge, InternalMismatch
-from .exact_linalg import is_positive_definite, qform_eval, root_counts
+from .exact_linalg import qform_eval, root_counts
 from .invariants import euler_analysis, multi_clock
 from .ribbon import to_ribbon_with_maps
 from .walks import (NotReduced, Walk, classify_walk, connecting_path,
@@ -174,23 +174,29 @@ class PerfectClasses:
         return sorted(self.classes)
 
 
-def enumerate_perfect_classes(gq, max_len=10, hard_limit=10,
-                              verify_root_counts=False):
+# walk counts grow exponentially with the length bound
+WALK_LENGTH_LIMIT = 10
+
+
+def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
     """All string-complex classes realized by reduced walks up to max_len.
 
     Each walk contributes its incidence vector with both overall signs
     (the sign is the parity of the shift).  For a positive form the class
     set saturates no later than walk length 2n + 2; verify_root_counts
     additionally checks the saturated counts and the value distribution
-    against a short-vector enumeration of the form itself.
+    against a short-vector enumeration of the form itself.  max_len may not
+    exceed WALK_LENGTH_LIMIT.
     """
-    if max_len > hard_limit:
+    if max_len > WALK_LENGTH_LIMIT:
         raise BoundTooLarge("walk length bound %d exceeds the limit %d"
-                            % (max_len, hard_limit))
+                            % (max_len, WALK_LENGTH_LIMIT))
     g, _ = to_ribbon_with_maps(gq)
-    gram = euler_analysis(gq).gramProjectives
+    ea = euler_analysis(gq)
+    gram = ea.gramProjectives
     n = len(gq.vertices)
-    positive = is_positive_definite(gram)
+    # gram is B B^tr, so semidefinite: it is definite iff it is nonsingular
+    positive = ea.corank == 0
 
     length = max_len
     if positive and verify_root_counts:
@@ -216,10 +222,6 @@ def enumerate_perfect_classes(gq, max_len=10, hard_limit=10,
         if verify_root_counts:
             nonzero = sum(cnt for val, cnt in value_counts.items()
                           if val > 0)
-            zero_nonnull = [vec for vec in classes
-                            if any(vec) and qform_eval(gram, vec) == 0]
-            if zero_nonnull:
-                raise InternalMismatch("positive form with a nonzero 0-root")
             saturated = nonzero == expected
             if not saturated:
                 raise InternalMismatch(

@@ -108,18 +108,20 @@ class IntMatrix:
         return self.nrows == self.ncols and self == self.transpose()
 
 
-def rank_corank(mat):
-    """(rank, corank) with corank counted against the number of columns.
+def _bareiss(mat):
+    """Fraction-free Gaussian elimination (Bareiss) on a copy of mat.
 
-    Fraction-free Gaussian elimination (Bareiss), so exact for any size of
-    entry.  The input matrix is not modified.
+    Returns (rank, signed last pivot).  For a square matrix of full rank
+    the signed last pivot is the determinant; the sign counts row swaps.
     """
     a = [list(r) for r in mat.rows]
     n, m = mat.nrows, mat.ncols
-    rank = 0
+    sign = 1
     prev = 1
     row = 0
     for col in range(m):
+        if row == n:
+            break
         piv = None
         for i in range(row, n):
             if a[i][col] != 0:
@@ -127,48 +129,33 @@ def rank_corank(mat):
                 break
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            sign = -sign
         p = a[row][col]
         for i in range(row + 1, n):
             for j in range(col + 1, m):
                 a[i][j] = (p * a[i][j] - a[i][col] * a[row][j]) // prev
-            a[i][col] = 0
         prev = p
-        rank += 1
         row += 1
-        if row == n:
-            break
-    return rank, m - rank
+    return row, sign * prev
+
+
+def rank_corank(mat):
+    """(rank, corank) with corank counted against the number of columns.
+
+    Exact for any size of entry; the input matrix is not modified.
+    """
+    rank, _ = _bareiss(mat)
+    return rank, mat.ncols - rank
 
 
 def det(mat):
     """Determinant by fraction-free elimination."""
     if mat.nrows != mat.ncols:
         raise NotSquare("determinant of a %r matrix" % (mat.shape,))
-    n = mat.nrows
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (p * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = p
-    return sign * a[n - 1][n - 1]
+    rank, pivot = _bareiss(mat)
+    return pivot if rank == mat.nrows else 0
 
 
 def char_poly(mat):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, IntPolynomial, char_poly, det, rank_corank
-from .quiver import cartan_matrix, per_quiver
+from .quiver import cartan_matrix, connected, per_quiver
 from .ribbon import (forbidden_ribbon, incidence_matrix, is_bipartite,
                      to_ribbon)
 from .walks import anti_walk, faces, incidence_vector
@@ -71,22 +71,6 @@ def multi_clock(gq):
     return 1
 
 
-def _connected_support(mat):
-    """Is the nonzero pattern of a symmetric matrix connected (all indices)?"""
-    n = mat.nrows
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and j not in seen and mat.rows[i][j] != 0:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
 def _dynkin_tag(unit, nabla, rank, two_v_minus_a):
     if unit:
         if nabla == 1:
@@ -135,7 +119,8 @@ def euler_analysis(gq):
         if c * gram_s * c.transpose() != gram:
             raise InternalMismatch("simples Gram fails the base-change identity")
         unit_s = all(gram_s.rows[i][i] == 2 for i in range(nv))
-        conn_s = _connected_support(gram_s)
+        conn_s = connected(range(nv), [(i, j) for i, row in enumerate(gram_s.rows)
+                                        for j, x in enumerate(row) if x])
         if not conn_s:
             dyn_s = "Disconnected"
         else:

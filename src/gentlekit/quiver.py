@@ -45,6 +45,23 @@ class NotAdmissible(ValueError):
 Arrow = namedtuple("Arrow", ["name", "source", "target"])
 
 
+def connected(nodes, pairs):
+    """Is the undirected graph on nodes with edges pairs connected?  The
+    graph with no nodes counts as connected."""
+    adj = {v: [] for v in nodes}
+    for u, w in pairs:
+        adj[u].append(w)
+        adj[w].append(u)
+    stack = list(adj)[:1]
+    seen = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 class BoundQuiver:
     """Vertices, named arrows and a set of forbidden length-2 compositions.
 
@@ -82,19 +99,8 @@ class BoundQuiver:
             if names[second].target != names[first].source:
                 raise QuiverStructureError(
                     "relation %s.%s is not a composable pair" % (first, second))
-        # connectivity of the underlying undirected graph
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vset:
+        if not connected(self.vertices,
+                         [(a.source, a.target) for a in self.arrows]):
             raise QuiverStructureError("quiver is not connected")
         self.arrow_by_name = names
         self.in_arrows = {v: [] for v in self.vertices}
@@ -342,23 +348,11 @@ def thread_centers(threads, vertices):
 
 
 def _successor_maps(q):
-    """Permitted / forbidden traversal successor and predecessor maps."""
-    nxt_p, prv_p, nxt_f, prv_f = {}, {}, {}, {}
-    for x in q.arrows:
-        for y in q.out_arrows[x.target]:
-            if (y, x.name) in q.relations:
-                nxt_f[x.name] = y
-            else:
-                nxt_p[x.name] = y
-        for y in q.in_arrows[x.source]:
-            if (x.name, y) in q.relations:
-                prv_f[x.name] = y
-            else:
-                prv_p[x.name] = y
-    return nxt_p, prv_p, nxt_f, prv_f
+    """Permitted / forbidden traversal successor and predecessor maps.
 
-
-def _check_gentle(q):
+    Raises GentlenessViolation, naming the first vertex or arrow that breaks
+    one of conditions (a)-(d), when some map would not be a function.
+    """
     for v in q.vertices:
         if len(q.out_arrows[v]) > 2:
             raise GentlenessViolation(
@@ -368,68 +362,51 @@ def _check_gentle(q):
             raise GentlenessViolation(
                 "vertex %d has %d incoming arrows (condition b)"
                 % (v, len(q.in_arrows[v])))
+    nxt_p, prv_p, nxt_f, prv_f = {}, {}, {}, {}
     for x in q.arrows:
-        succ_p = [y for y in q.out_arrows[x.target] if (y, x.name) not in q.relations]
-        prev_p = [y for y in q.in_arrows[x.source] if (x.name, y) not in q.relations]
+        succ_p, prev_p, succ_f, prev_f = [], [], [], []
+        for y in q.out_arrows[x.target]:
+            (succ_f if (y, x.name) in q.relations else succ_p).append(y)
+        for y in q.in_arrows[x.source]:
+            (prev_f if (x.name, y) in q.relations else prev_p).append(y)
         if len(succ_p) > 1 or len(prev_p) > 1:
             raise GentlenessViolation(
                 "arrow %s admits two unrelated compositions (condition c)" % x.name)
-        succ_f = [y for y in q.out_arrows[x.target] if (y, x.name) in q.relations]
-        prev_f = [y for y in q.in_arrows[x.source] if (x.name, y) in q.relations]
         if len(succ_f) > 1 or len(prev_f) > 1:
             raise GentlenessViolation(
                 "arrow %s admits two related compositions (condition d)" % x.name)
+        for found, into in ((succ_p, nxt_p), (prev_p, prv_p),
+                            (succ_f, nxt_f), (prev_f, prv_f)):
+            if found:
+                into[x.name] = found[0]
+    return nxt_p, prv_p, nxt_f, prv_f
 
 
 def _chains(arrow_names, nxt, prv):
     """Maximal chains and cycles of a partial successor map.
 
-    Returns (chains, cycles), both in traversal order.
+    The map is injective with inverse prv, so chains start exactly at the
+    arrows with no predecessor, and the arrows no chain reaches form the
+    cycles.  Returns (chains, cycles), both in traversal order.
     """
-    in_cycle = set()
-    for start in arrow_names:
-        if start in in_cycle:
-            continue
-        seen = {}
-        cur = start
-        step = 0
-        while cur is not None and cur not in seen:
-            seen[cur] = step
-            step += 1
-            cur = nxt.get(cur)
-        if cur is not None and cur not in in_cycle:
-            cyc = []
-            x = cur
-            while True:
-                cyc.append(x)
-                in_cycle.add(x)
-                x = nxt[x]
-                if x == cur:
-                    break
     chains = []
+    placed = set()
     for start in arrow_names:
-        # predecessors of cycle members are cycle members, so a chain starts
-        # exactly where no predecessor exists
-        if start in in_cycle or prv.get(start) is not None:
+        if start in prv:
             continue
         chain = [start]
-        cur = nxt.get(start)
-        while cur is not None:
-            chain.append(cur)
-            cur = nxt.get(cur)
+        while chain[-1] in nxt:
+            chain.append(nxt[chain[-1]])
         chains.append(chain)
+        placed.update(chain)
     cycles = []
-    done = set()
     for name in arrow_names:
-        if name in in_cycle and name not in done:
+        if name not in placed:
             cyc = [name]
-            done.add(name)
-            x = nxt[name]
-            while x != name:
-                cyc.append(x)
-                done.add(x)
-                x = nxt[x]
+            while nxt[cyc[-1]] != name:
+                cyc.append(nxt[cyc[-1]])
             cycles.append(cyc)
+            placed.update(cyc)
     return chains, cycles
 
 
@@ -442,16 +419,22 @@ def _written(q, traversal):
     return arrows, tuple(verts)
 
 
-def _trivial_counts(q, pairs_through):
-    """How many trivial threads sit at each vertex: 2 - deg(v) + pairs(v)."""
-    counts = {}
+def _trivial_vertices(q, nxt):
+    """Vertices carrying a trivial thread: 2 - deg(v) + pairs(v) is 1 there
+    and 0 elsewhere.  Each arrow into v heads at most one composable pair
+    through v, the one nxt records."""
+    pairs_through = {v: 0 for v in q.vertices}
+    for name in nxt:
+        pairs_through[q.target(name)] += 1
+    trivial = []
     for v in q.vertices:
         deg = len(q.in_arrows[v]) + len(q.out_arrows[v])
         c = 2 - deg + pairs_through[v]
         if c not in (0, 1):
             raise AssertionError("trivial thread count %d at vertex %d" % (c, v))
-        counts[v] = c
-    return counts
+        if c:
+            trivial.append(v)
+    return trivial
 
 
 def _sort_threads(q, words, trivial_vertices):
@@ -472,33 +455,21 @@ def validate_gentle(q):
 
     Raises GentlenessViolation or NotAdmissible; returns a GentleQuiver.
     """
-    _check_gentle(q)
     nxt_p, prv_p, nxt_f, prv_f = _successor_maps(q)
     names = [a.name for a in q.arrows]
     p_chains, p_cycles = _chains(names, nxt_p, prv_p)
     if p_cycles:
         raise NotAdmissible("unbounded repeatable cycle through arrows %s"
                             % " ".join(p_cycles[0]))
-    perm_pairs = {v: 0 for v in q.vertices}
-    forb_pairs = {v: 0 for v in q.vertices}
-    for v in q.vertices:
-        for b in q.in_arrows[v]:
-            for a in q.out_arrows[v]:
-                if (a, b) in q.relations:
-                    forb_pairs[v] += 1
-                else:
-                    perm_pairs[v] += 1
     perm_words = [_written(q, tr) for tr in p_chains]
-    perm_trivial = [v for v, c in _trivial_counts(q, perm_pairs).items() if c]
-    permitted = _sort_threads(q, perm_words, perm_trivial)
+    permitted = _sort_threads(q, perm_words, _trivial_vertices(q, nxt_p))
     if len(permitted) != 2 * len(q.vertices) - len(q.arrows):
         raise AssertionError("permitted thread count %d, expected %d"
                              % (len(permitted), 2 * len(q.vertices) - len(q.arrows)))
 
     f_chains, f_cycles = _chains(names, nxt_f, prv_f)
     forb_words = [_written(q, tr) for tr in f_chains]
-    forb_trivial = [v for v, c in _trivial_counts(q, forb_pairs).items() if c]
-    forbidden = _sort_threads(q, forb_words, forb_trivial)
+    forbidden = _sort_threads(q, forb_words, _trivial_vertices(q, nxt_f))
     cycles = []
     for tr in f_cycles:
         written = tuple(reversed(tr))

@@ -12,7 +12,8 @@ run of arrows with relations between consecutive chains.
 import json
 
 from .errors import InfiniteGlobalDimension
-from .quiver import BoundQuiver, per_quiver, thread_centers, validate_gentle
+from .quiver import (BoundQuiver, connected, per_quiver, thread_centers,
+                     validate_gentle)
 
 
 class RibbonGraph:
@@ -25,6 +26,8 @@ class RibbonGraph:
 
     def __init__(self, vertices, counts, pairs, min_degree_two=True):
         self.vertices = tuple(str(v) for v in vertices)
+        if not self.vertices:
+            raise ValueError("ribbon graph has no vertices")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex id")
         self.vid_index = {v: i for i, v in enumerate(self.vertices)}
@@ -67,19 +70,8 @@ class RibbonGraph:
         self._validate_shape(min_degree_two)
 
     def _validate_shape(self, min_degree_two):
-        n = len(self.vertices)
-        adj = {i: set() for i in range(n)}
-        for tgt, src in self.edge_halves.values():
-            adj[tgt[0]].add(src[0])
-            adj[src[0]].add(tgt[0])
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n:
+        ends = [(tgt[0], src[0]) for tgt, src in self.edge_halves.values()]
+        if not connected(range(len(self.vertices)), ends):
             raise ValueError("ribbon graph is not connected")
         if min_degree_two and max(self.counts) < 2:
             raise ValueError("need a vertex of degree at least 2")
@@ -155,23 +147,10 @@ def incidence_matrix(g, sigma=None):
 
 
 def is_bipartite(g):
-    color = {0: 0}
-    stack = [0]
-    adj = {i: [] for i in range(len(g.vertices))}
-    for tgt, src in g.edge_halves.values():
-        if tgt[0] == src[0]:
-            return False
-        adj[tgt[0]].append(src[0])
-        adj[src[0]].append(tgt[0])
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in color:
-                color[w] = 1 - color[v]
-                stack.append(w)
-            elif color[w] == color[v]:
-                return False
-    return len(color) == len(g.vertices)
+    """No loops and a proper 2-colouring.  With every half signed +1,
+    is_balanced asks for opposite colours across each edge and rejects
+    loops; a RibbonGraph is connected, so one colouring covers it."""
+    return is_balanced(g, dict.fromkeys(g.iota, 1))
 
 
 def is_balanced(g, sigma):

@@ -171,7 +171,9 @@ def test_brauer_command(capsys):
      '{"vertices": [{"id": "u", "halfEdges": 2}], "iota": []}'),
     ("analyze", ".rgraph.json",
      '{"vertices": [{"id": "u", "halfEdges": ["a", "b"]}], "iota": [7]}'),
+    ("analyze", ".rgraph.json", '{"vertices": [], "iota": []}'),
     ("brauer", ".brauer.json", '{"vertices": [1, 2], "iota": []}'),
+    ("brauer", ".brauer.json", '{"vertices": [], "iota": []}'),
     ("brauer", ".brauer.json", '{"vertices": [{"id": "u"}], "iota": []}'),
     ("brauer", ".brauer.json",
      '{"vertices": [{"id": "u", "halfEdges": ["a"], "multiplicity": true},'
@@ -196,6 +198,14 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--count", "6", "--seed", "3")
     assert code == 0
     assert "selftest passed: 6 quivers (seed 3)" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_selftest_rejects_count_below_one(capsys, count):
+    code, out, err = run_cli(capsys, "selftest", "--count", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_selftest_env_seed(capsys, monkeypatch):

@@ -175,7 +175,7 @@ def test_perfect_classes_nonpositive():
 def test_bound_too_large():
     gq, _ = _pair("sixvertex")
     with pytest.raises(BoundTooLarge):
-        enumerate_perfect_classes(gq, max_len=11, hard_limit=10)
+        enumerate_perfect_classes(gq, max_len=11)
 
 
 def test_ar_triangle_frozen():
