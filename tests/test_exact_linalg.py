@@ -70,6 +70,58 @@ def test_det_matches_cofactor_expansion():
     assert singular >= 10 and swapped >= 10
 
 
+def _char_poly_matches_cofactor(rows):
+    n = len(rows)
+    p = char_poly(IntMatrix(rows))
+    # a monic polynomial of degree n is fixed by its values at n + 1 points
+    assert p.degree == n and p.coeffs[-1] == 1, rows
+    for z in range(n + 1):
+        shifted = [[(z if i == j else 0) - rows[i][j] for j in range(n)]
+                   for i in range(n)]
+        assert p.eval(z) == _cofactor_det(shifted), (rows, z)
+    return p
+
+
+def test_char_poly_matches_cofactor_expansion():
+    rng = random.Random(17)
+    cases = []
+    for n in range(8):
+        # the cofactor expansion costs n!, so sizes 6 and 7 get fewer samples
+        count = {6: 4, 7: 1}.get(n, 8)
+        for _ in range(count):
+            cases.append([[rng.randrange(-3, 4) for _ in range(n)]
+                          for _ in range(n)])
+            cases.append([[rng.randrange(-3, 4) if rng.random() < 0.25 else 0
+                           for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        _char_poly_matches_cofactor(rows)
+
+    z = IntPolynomial.monomial(1)
+    nilpotent = [
+        [[0, 1, 2], [0, 0, 3], [0, 0, 0]],
+        [[2, 4], [-1, -2]],
+        [[-2, 1, 0], [-3, 1, 1], [-1, 0, 1]],
+    ]
+    for rows in nilpotent:
+        assert _char_poly_matches_cofactor(rows) == z ** len(rows)
+    for n in range(5):
+        assert _char_poly_matches_cofactor([[0] * n for _ in range(n)]) == z ** n
+    for rows in [
+        # no nonzero entry right below the diagonal: a row swap brings one up
+        [[1, 2, 3], [0, 1, 4], [5, 6, 7]],
+        # the smallest nonzero entry of the column is not the first one
+        [[1, 2, 3], [3, 1, 4], [1, 6, 7]],
+        # a zero subdiagonal: the Hessenberg form splits into blocks, with
+        # and without entries above the split
+        [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]],
+        [[1, 2, 5, 1], [3, 4, 1, 2], [0, 0, 5, 6], [0, 0, 7, 8]],
+        # the pivot 2 does not divide 3, so entries become fractions
+        [[1, 1, 1], [2, 0, 1], [3, 1, 0]],
+        [[1, -1, 2, 0], [2, 3, 1, 1], [3, 0, -2, 1], [-3, 1, 1, 2]],
+    ]:
+        _char_poly_matches_cofactor(rows)
+
+
 def test_char_poly_matches_rank_on_random_symmetric():
     rng = random.Random(5)
     for _ in range(40):
@@ -97,6 +149,79 @@ def test_matrix_algebra_round_trips():
     cols = IntMatrix.from_columns([(1, 3), (2, 4)])
     assert cols.to_lists() == m.to_lists()
     assert m.apply((1, 1)) == (3, 7)
+
+
+def _loop_product(a, b):
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for k in range(a.ncols):
+                acc += a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _loop_apply(a, vec):
+    out = []
+    for i in range(a.nrows):
+        acc = 0
+        for k in range(a.ncols):
+            acc += a.rows[i][k] * vec[k]
+        out.append(acc)
+    return tuple(out)
+
+
+def _random_rows(rng, n, m, density):
+    return [[rng.randrange(-4, 5) if rng.random() < density else 0
+             for _ in range(m)] for _ in range(n)]
+
+
+def test_products_match_written_out_loops():
+    rng = random.Random(23)
+    pairs = []
+    for n in range(5):
+        for k in range(5):
+            for m in range(5):
+                for density in (1.0, 0.3):
+                    pairs.append((_random_rows(rng, n, k, density),
+                                  _random_rows(rng, k, m, density)))
+    pairs += [
+        ([[1, 0, 2], [0, 0, 0], [3, 0, 4]], [[1, 2], [5, 6], [0, 0]]),
+        ([[0, 0], [0, 0]], [[1, 2], [3, 4]]),
+        ([[1, 2], [3, 4]], [[0, 0], [0, 0]]),
+        ([[], [], []], []),
+        ([], []),
+    ]
+    for rows_a, rows_b in pairs:
+        a, b = IntMatrix(rows_a), IntMatrix(rows_b)
+        if a.ncols != b.nrows:
+            # a matrix with no rows keeps no column count
+            continue
+        got = a * b
+        assert got.to_lists() == _loop_product(a, b), (rows_a, rows_b)
+        assert got.shape == (a.nrows, b.ncols)
+        vec = tuple(rng.randrange(-3, 4) for _ in range(a.ncols))
+        assert a.apply(vec) == _loop_apply(a, vec)
+        assert a.apply((0,) * a.ncols) == (0,) * a.nrows
+    m = IntMatrix([[1, 0, -2], [0, 0, 0], [3, 4, 0]])
+    for c in (2, 0, -3):
+        scaled = [[c * x for x in r] for r in m.rows]
+        assert (c * m).to_lists() == scaled
+        assert (m * c).to_lists() == scaled
+        assert m.__rmul__(c).to_lists() == scaled
+    assert (2 * IntMatrix([[], []])).shape == (2, 0)
+    assert IntMatrix([[], []]).apply(()) == (0, 0)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]) * IntMatrix([[1, 2]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3, 4]]) * IntMatrix([[1, 2, 3]])
+    with pytest.raises(ValueError):
+        m.apply((1, 2))
+    with pytest.raises(ValueError):
+        IntMatrix([[], []]).apply((1,))
 
 
 def test_qform_eval():
