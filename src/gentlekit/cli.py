@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .brauer import brauer_cartan, brauer_classify, brauer_from_json
 from .derived import (BandComplex, ar_translate, build_string_complex,
-                      enumerate_perfect_classes, k0_class, root_classify)
+                      enumerate_perfect_classes, k0_class, root_classify,
+                      root_tag)
 from .errors import InternalMismatch
 from .invariants import aag_invariant, compare, coxeter, euler_analysis, \
     fingerprint, ribbon_faces, FINGERPRINT_FIELDS
@@ -208,8 +209,8 @@ def cmd_roots(args):
     rows = []
     for vec in res.sorted_classes():
         m, w = res.classes[vec]
-        root = root_classify(gq, vec)
-        rows.append({"class": list(vec), "q": root.value, "tag": root.tag,
+        q = res.values[vec]
+        rows.append({"class": list(vec), "q": q, "tag": root_tag(q),
                      "witnessShift": m, "witnessWalk": w.render()})
     payload = {"classes": rows, "positive": res.positive,
                "valueCounts": {str(k): v

@@ -149,9 +149,14 @@ _ROOT_NOTES = {
 }
 
 
+def root_tag(value):
+    """The root tag of a value of the Euler form q."""
+    return {0: "0-root", 1: "1-root", 2: "2-root"}.get(value, "other")
+
+
 def root_classify(gq, x):
     val = qform_eval(euler_analysis(gq).gramProjectives, x)
-    tag = {0: "0-root", 1: "1-root", 2: "2-root"}.get(val, "other")
+    tag = root_tag(val)
     return RootClassification(val, tag, _ROOT_NOTES[tag])
 
 
@@ -160,15 +165,16 @@ def root_classify(gq, x):
 
 class PerfectClasses:
     __slots__ = ("classes", "positive", "saturated", "expected_nonzero",
-                 "value_counts")
+                 "value_counts", "values")
 
     def __init__(self, classes, positive, saturated, expected_nonzero,
-                 value_counts):
+                 value_counts, values):
         self.classes = classes
         self.positive = positive
         self.saturated = saturated
         self.expected_nonzero = expected_nonzero
         self.value_counts = value_counts
+        self.values = values         # class -> value of the Euler form q
 
     def sorted_classes(self):
         return sorted(self.classes)
@@ -210,9 +216,9 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
         if neg not in classes:
             classes[neg] = (1, w)
 
+    values = {vec: qform_eval(gram, vec) for vec in classes}
     value_counts = {}
-    for vec in classes:
-        val = qform_eval(gram, vec)
+    for val in values.values():
         value_counts[val] = value_counts.get(val, 0) + 1
 
     expected = None
@@ -240,7 +246,8 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
                 # walk side is pinned down
                 if value_counts.get(2, 0) != 2 * n:
                     raise InternalMismatch("2-root counts disagree")
-    return PerfectClasses(classes, positive, saturated, expected, value_counts)
+    return PerfectClasses(classes, positive, saturated, expected, value_counts,
+                          values)
 
 
 # --- Auslander-Reiten translation -------------------------------------------

@@ -1,8 +1,10 @@
 """Exact linear algebra over the integers.
 
-Everything in here works with arbitrary-precision ints (and Fractions for
-the short-vector search).  No floats, ever: ranks, determinants and
-characteristic polynomials are computed fraction-free so results are exact.
+Everything in here works with arbitrary-precision ints, and with Fractions
+where a division is not exact: in the short-vector search and in a
+characteristic polynomial whose Hessenberg reduction meets a non-dividing
+pivot.  No floats, ever: ranks and determinants come from fraction-free
+elimination, and every result is exact.
 """
 
 from fractions import Fraction
@@ -92,9 +94,18 @@ class IntMatrix:
             return IntMatrix([[a * other for a in r] for r in self.rows])
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %r * %r" % (self.shape, other.shape))
-        bt = other.transpose().rows
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.rows])
+        # row i of the product is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i][k]; zero entries on either side are skipped
+        sparse = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * other.ncols
+            for a, nz in zip(row, sparse):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(acc)
+        return IntMatrix(out)
 
     __rmul__ = __mul__
 
@@ -102,7 +113,8 @@ class IntMatrix:
         """Matrix times column vector (tuple in, tuple out)."""
         if len(vec) != self.ncols:
             raise ValueError("vector length %d != %d columns" % (len(vec), self.ncols))
-        return tuple(sum(a * x for a, x in zip(r, vec)) for r in self.rows)
+        nz = [(j, x) for j, x in enumerate(vec) if x]
+        return tuple(sum(r[j] * x for j, x in nz) for r in self.rows)
 
     def is_symmetric(self):
         return self.nrows == self.ncols and self == self.transpose()
@@ -161,25 +173,68 @@ def det(mat):
 def char_poly(mat):
     """Characteristic polynomial det(z*I - M) as an IntPolynomial.
 
-    Faddeev-LeVerrier recursion; every division is by construction exact
-    over the integers, which we assert rather than assume.
+    M is reduced by similarity to upper Hessenberg form H (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.2.4), each column pivoting
+    on its nonzero candidate of least absolute value.  An entry stays an
+    int while its multiplier divides exactly and becomes a Fraction where
+    one does not.  det(z*I - H) then follows from the recurrence over the
+    leading blocks of H.  The coefficients are integers, which we assert
+    rather than assume.
     """
     if mat.nrows != mat.ncols:
         raise NotSquare("characteristic polynomial of a %r matrix" % (mat.shape,))
     n = mat.nrows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m_k = IntMatrix.identity(n)
-    ident = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        m_k = mat * m_k
-        tr = sum(m_k.rows[i][i] for i in range(n))
-        if tr % k != 0:
-            raise AssertionError("inexact trace division in char poly")
-        c = -(tr // k)
-        coeffs[n - k] = c
-        if k < n:
-            m_k = m_k + c * ident
+    h = [list(r) for r in mat.rows]
+    for m in range(1, n - 1):
+        piv = None
+        for i in range(m, n):
+            a = h[i][m - 1]
+            if a and (piv is None or abs(a) < abs(h[piv][m - 1])):
+                piv = i
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for r in h:
+                r[piv], r[m] = r[m], r[piv]
+        # H <- E H E^-1 with E = I - sum_i u_i e_i e_m^tr: subtract u_i times
+        # row m from each row i > m, then add u_i times column i to column m
+        t = h[m][m - 1]
+        pivot_row = [(j, v) for j, v in enumerate(h[m]) if v]
+        mults = []
+        for i in range(m + 1, n):
+            a = h[i][m - 1]
+            if a:
+                u = a // t if a % t == 0 else Fraction(a, t)
+                row = h[i]
+                for j, v in pivot_row:
+                    row[j] -= u * v
+                mults.append((i, u))
+        if mults:
+            for r in h:
+                r[m] += sum(u * r[i] for i, u in mults if r[i])
+    # polys[k] = det(z*I - H[:k, :k]), coefficients ascending
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        nxt = [0] + prev
+        d = h[m][m]
+        if d:
+            for k, c in enumerate(prev):
+                nxt[k] -= d * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break       # a zero subdiagonal entry splits H into blocks
+            c = t * h[i][m]
+            if c:
+                for k, v in enumerate(polys[i]):
+                    nxt[k] -= c * v
+        polys.append(nxt)
+    coeffs = polys[n]
+    if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
+        raise AssertionError("non-integral coefficient in char poly")
     return IntPolynomial(coeffs)
 
 

@@ -10,6 +10,7 @@ from gentlekit.derived import (
     enumerate_perfect_classes,
     k0_class,
     root_classify,
+    root_tag,
 )
 from gentlekit.errors import BoundTooLarge
 from gentlekit.exact_linalg import qform_eval
@@ -170,6 +171,19 @@ def test_perfect_classes_nonpositive():
     assert not pc.positive
     assert pc.saturated is None and pc.expected_nonzero is None
     assert len(pc.classes) == len(set(pc.sorted_classes()))
+
+
+def test_perfect_class_values_match_root_classify():
+    for name in FIXTURE_NAMES:
+        gq = load_fixture(name)
+        pc = enumerate_perfect_classes(gq, max_len=5)
+        assert pc.values.keys() == pc.classes.keys()
+        counts = {}
+        for vec, val in pc.values.items():
+            rc = root_classify(gq, vec)
+            assert (val, root_tag(val)) == (rc.value, rc.tag), (name, vec)
+            counts[val] = counts.get(val, 0) + 1
+        assert counts == pc.value_counts
 
 
 def test_bound_too_large():

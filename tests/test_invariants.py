@@ -247,3 +247,21 @@ def test_random_euler_identities():
         # the internal mismatch guards inside these calls double as checks
         aag_invariant(gq)
         coxeter(gq)
+
+
+def test_large_random_identity_sweep():
+    # the same identities on quivers of up to about 40 vertices
+    rng = random.Random(606060)
+    kinds = ("any", "tree", "odd1cycle")
+    sizes = []
+    for k in range(60):
+        gq = from_ribbon(random_marked_ribbon_graph(rng, kind=kinds[k % 3],
+                                                    max_vertices=40))
+        nv, na = len(gq.vertices), len(gq.arrows)
+        sizes.append(nv)
+        ea = euler_analysis(gq)
+        assert ea.corank == na - nv + ea.nabla
+        assert ea.rank == 2 * nv - na - ea.nabla
+        psi, poly, from_aag = coxeter(gq)
+        assert poly == from_aag and poly.degree == nv
+    assert max(sizes) >= 35 and sum(n >= 20 for n in sizes) >= 20
