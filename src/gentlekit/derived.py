@@ -8,6 +8,8 @@ describe one-parameter families; only the fiber dimension of the companion
 automorphism enters any invariant computed here, so it is kept as a number.
 """
 
+from collections import Counter
+
 from .errors import BoundTooLarge, InternalMismatch
 from .exact_linalg import qform_eval, root_counts
 from .invariants import euler_analysis, multi_clock
@@ -217,9 +219,7 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
             classes[neg] = (1, w)
 
     values = {vec: qform_eval(gram, vec) for vec in classes}
-    value_counts = {}
-    for val in values.values():
-        value_counts[val] = value_counts.get(val, 0) + 1
+    value_counts = dict(Counter(values.values()))
 
     expected = None
     saturated = None

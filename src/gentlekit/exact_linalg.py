@@ -233,7 +233,7 @@ def char_poly(mat):
                     nxt[k] -= c * v
         polys.append(nxt)
     coeffs = polys[n]
-    if any(isinstance(c, Fraction) and c.denominator != 1 for c in coeffs):
+    if any(c.denominator != 1 for c in coeffs):
         raise AssertionError("non-integral coefficient in char poly")
     return IntPolynomial(coeffs)
 
