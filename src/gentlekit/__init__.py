@@ -13,8 +13,7 @@ from .ribbon import (ForbiddenRibbon, RibbonGraph, dot_export,
                      forbidden_ribbon, from_ribbon, incidence_matrix,
                      is_balanced, is_bipartite, quiver_canonical_form,
                      random_marked_ribbon_graph, ribbon_canonical_form,
-                     ribbon_from_json, ribbon_to_json, to_ribbon,
-                     to_ribbon_with_maps)
+                     ribbon_from_json, ribbon_to_json, to_ribbon)
 from .walks import (Face, NotConcatenable, NotReduced, UnknownEdge, Walk,
                     anti_walk, anti_walks, classify_walk, connecting_path,
                     deg_step, degree, enumerate_belts, enumerate_reduced_walks,

@@ -12,7 +12,7 @@ import json
 
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, is_positive_semidefinite, rank_corank
-from .ribbon import incidence_matrix, ribbon_from_json
+from .ribbon import incidence_matrix, is_bipartite, ribbon_from_json
 
 
 class BrauerGraph:
@@ -58,29 +58,6 @@ def brauer_cartan(bg):
     return inc * diag * inc.transpose()
 
 
-def _unique_cycle_length(g):
-    """Edge count of the unique cycle, found by pruning leaves."""
-    deg = {i: 0 for i in range(len(g.vertices))}
-    edges = {}
-    for e in g.edges:
-        tgt, src = g.edge_halves[e]
-        edges[e] = (tgt[0], src[0])
-        deg[tgt[0]] += 1
-        deg[src[0]] += 1
-    alive = set(g.edges)
-    changed = True
-    while changed:
-        changed = False
-        for e in list(alive):
-            u, v = edges[e]
-            if u != v and (deg[u] == 1 or deg[v] == 1):
-                alive.discard(e)
-                deg[u] -= 1
-                deg[v] -= 1
-                changed = True
-    return len(alive)
-
-
 class BrauerVerdict:
     __slots__ = ("definiteness", "tag", "repType", "corank")
 
@@ -97,8 +74,10 @@ class BrauerVerdict:
 
 
 def brauer_classify(bg):
-    """Definiteness via exact corank, structure via cycle counting; the two
-    readings must agree for every multiplicity assignment."""
+    """Definiteness via exact corank, structure via cycle rank and parity;
+    the two readings must agree for every multiplicity assignment.  At
+    cycle rank 1 the one cycle is odd exactly when the graph is not
+    bipartite, a loop being a cycle of length 1."""
     cb = brauer_cartan(bg)
     if not is_positive_semidefinite(cb):
         raise InternalMismatch("Brauer Cartan matrix is not semidefinite")
@@ -109,7 +88,7 @@ def brauer_classify(bg):
     if cyc_rank == 0:
         tag = "tree"
     elif cyc_rank == 1:
-        tag = "odd-1-cycle" if _unique_cycle_length(bg.graph) % 2 == 1 else "other"
+        tag = "other" if is_bipartite(bg.graph) else "odd-1-cycle"
     else:
         tag = "other"
 

@@ -12,8 +12,8 @@ from collections import Counter
 
 from .errors import BoundTooLarge, InternalMismatch
 from .exact_linalg import qform_eval, root_counts
-from .invariants import euler_analysis, multi_clock
-from .ribbon import to_ribbon_with_maps
+from .invariants import euler_analysis
+from .ribbon import to_ribbon
 from .walks import (NotReduced, Walk, classify_walk, connecting_path,
                     enumerate_reduced_walks, incidence_vector, plus_ops)
 
@@ -69,19 +69,18 @@ def build_string_complex(gq, m, w):
         raise NotReduced("string complexes need reduced walks")
     if w.trivial:
         return StringComplex(m, w, (), ())
-    g, arrow_half = to_ribbon_with_maps(gq)
+    g = to_ribbon(gq)
     # junction steps are chain positions, so the walk must live on the
     # graph rebuilt from the quiver, not merely an isomorphic copy
     if w.graph.vertices != g.vertices or w.graph.edge_halves != g.edge_halves:
         raise ValueError("walk graph does not match the quiver's own graph; "
                          "take walks on to_ribbon(gq)")
-    step_arrow = {half: name for name, half in arrow_half.items()}
     cum = _cumulative_degrees(w)
     terms = [(m + cum[t], w.edges[t][0]) for t in range(len(w.edges))]
     maps = []
     for t in range(len(w.edges) - 1):
         d, steps = connecting_path(w.graph, w.edges[t], w.edges[t + 1])
-        path = tuple(step_arrow[h] for h in steps)
+        path = tuple(gq.arrow_at[h] for h in steps)
         if d > 0:
             maps.append((t, t + 1, path, False))
         else:
@@ -90,10 +89,9 @@ def build_string_complex(gq, m, w):
 
 
 def _alternating_term_sum(g, terms, weight=1):
-    idx = {e: k for k, e in enumerate(g.edges)}
     acc = [0] * len(g.edges)
     for degree, proj in terms:
-        acc[idx[proj]] += weight * (-1) ** degree
+        acc[g.edge_index[proj]] += weight * (-1) ** degree
     return tuple(acc)
 
 
@@ -199,7 +197,7 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
     if max_len > WALK_LENGTH_LIMIT:
         raise BoundTooLarge("walk length bound %d exceeds the limit %d"
                             % (max_len, WALK_LENGTH_LIMIT))
-    g, _ = to_ribbon_with_maps(gq)
+    g = to_ribbon(gq)
     ea = euler_analysis(gq)
     gram = ea.gramProjectives
     n = len(gq.vertices)
@@ -209,22 +207,24 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
     length = max_len
     if positive and verify_root_counts:
         length = max(max_len, 2 * n + 2)
+    # each walk adds its class with both signs, so a class is new exactly
+    # when its negative is; q(-v) = q(v) is evaluated once per pair
     classes = {}
+    values = {}
     for w in enumerate_reduced_walks(g, length):
         vec = incidence_vector(w)
+        if vec in classes:
+            continue
         neg = tuple(-v for v in vec)
-        if vec not in classes:
-            classes[vec] = (0, w)
-        if neg not in classes:
-            classes[neg] = (1, w)
-
-    values = {vec: qform_eval(gram, vec) for vec in classes}
+        classes[vec] = (0, w)
+        classes.setdefault(neg, (1, w))
+        values[vec] = values[neg] = qform_eval(gram, vec)
     value_counts = dict(Counter(values.values()))
 
     expected = None
     saturated = None
     if positive:
-        expected = n * n + n if multi_clock(gq) == 1 else 2 * n * n
+        expected = n * n + n if ea.nabla == 1 else 2 * n * n
         if verify_root_counts:
             nonzero = sum(cnt for val, cnt in value_counts.items()
                           if val > 0)
@@ -234,7 +234,7 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
                     "found %d nonzero classes, expected %d" % (nonzero,
                                                                expected))
             oracle = root_counts(gram, up_to=2)
-            if multi_clock(gq) == 1:
+            if ea.nabla == 1:
                 if value_counts.get(1, 0) != expected or oracle[1] != expected:
                     raise InternalMismatch("1-root counts disagree")
             else:

@@ -443,9 +443,7 @@ def root_counts(gram, up_to=2):
     """
     counts = {v: 0 for v in range(1, up_to + 1)}
     for x in short_vectors(gram, 2 * up_to):
-        s = sum(xi * yi for xi, yi in zip(x, gram.apply(x)))
-        assert s % 2 == 0
-        v = s // 2
+        v = qform_eval(gram, x)
         if 1 <= v <= up_to:
             counts[v] += 2
     return counts

@@ -276,8 +276,9 @@ def coxeter(gq):
         raise InternalMismatch("anti-walk matrix fails the incidence identity")
     n = len(gq.vertices)
     ident = IntMatrix.identity(n)
-    psi = ident - j_hat * j_hat.transpose() * c.transpose()
-    if psi * (ident - j_hat * j_hat.transpose() * c) != ident:
+    jj = j_hat * j_hat.transpose()
+    psi = ident - jj * c.transpose()
+    if psi * (ident - jj * c) != ident:
         raise InternalMismatch("candidate inverse fails")
     if gq.global_dimension_finite and c * psi != -c.transpose():
         raise InternalMismatch("Coxeter matrix fails -C^tr = C Psi")

@@ -61,6 +61,8 @@ class RibbonGraph:
             self.half_edge[h1] = eid
             self.half_edge[h2] = eid
         self.edges = tuple(self.edges)
+        # row of each edge in incidence vectors and matrices
+        self.edge_index = {e: k for k, e in enumerate(self.edges)}
         if seen != all_halves:
             raise ValueError("some half-edges are not paired")
         self.iota = {}
@@ -77,9 +79,6 @@ class RibbonGraph:
             raise ValueError("need a vertex of degree at least 2")
 
     # --- basic queries -------------------------------------------------
-
-    def degree(self, vid):
-        return self.counts[self.vid_index[vid]]
 
     def z(self, half):
         return self.vertices[half[0]]
@@ -188,18 +187,13 @@ def _graph_from_threads(threads, centers):
                        [(v, lo, hi) for v, (lo, hi) in centers.items()])
 
 
+@per_quiver
 def to_ribbon(gq):
     """Marked ribbon graph on the permitted threads; edge ids are the
-    quiver's vertex ids."""
-    return to_ribbon_with_maps(gq)[0]
-
-
-@per_quiver
-def to_ribbon_with_maps(gq):
-    """Also return the map arrow name -> chain step (half at written position t)."""
-    g = _graph_from_threads(gq.permitted, gq.halves_at)
-    arrow_half = {name: (ti, t) for name, (ti, t) in gq.permitted_pos.items()}
-    return g, arrow_half
+    quiver's vertex ids.  Vertex index i is permitted thread i, so the half
+    (i, t) with t >= 1 is the chain step of arrow gq.arrow_at[(i, t)], and
+    gq.permitted_pos maps each arrow name back to its half."""
+    return _graph_from_threads(gq.permitted, gq.halves_at)
 
 
 class ForbiddenRibbon:
@@ -305,7 +299,7 @@ def ribbon_from_json(data, min_degree_two=True):
         vid = str(entry["id"])
         halves = entry["halfEdges"]
         if not halves:
-            raise ValueError("vertex %s has no half-edges" % vid)
+            raise ValueError("vertex %r has no half-edges" % vid)
         vertices.append(vid)
         counts.append(len(halves))
         for p, hname in enumerate(halves):

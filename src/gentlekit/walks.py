@@ -121,13 +121,12 @@ def parse_walk(g, text):
     if not toks:
         raise ValueError("empty walk")
     edges = []
-    known = set(g.edges)
     for tok in toks:
         try:
             v = int(tok)
         except ValueError:
             raise UnknownEdge("bad edge token %r" % tok)
-        if v == 0 or abs(v) not in known:
+        if v == 0 or abs(v) not in g.edge_index:
             raise UnknownEdge("no edge named %s" % abs(v))
         edges.append((abs(v), 1 if v > 0 else -1))
     return Walk(g, edges)
@@ -164,10 +163,9 @@ def degree(w):
 def incidence_vector(w):
     """Alternating edge-indicator sum, +1 on the first written edge."""
     g = w.graph
-    idx = {e: k for k, e in enumerate(g.edges)}
     v = [0] * len(g.edges)
     for t, (e, _) in enumerate(w.edges):
-        v[idx[e]] += 1 if t % 2 == 0 else -1
+        v[g.edge_index[e]] += 1 if t % 2 == 0 else -1
     return tuple(v)
 
 
@@ -205,7 +203,7 @@ def is_belt(w):
     core = e[:-1]
     if _period(core) != len(core):
         return False
-    if Walk(g, core).source_vertex != Walk(g, core).target_vertex:
+    if not Walk(g, core).closed:
         return False
     total = sum(deg_step(g, e[t], e[t + 1]) for t in range(len(e) - 1))
     if total != 0:

@@ -172,6 +172,8 @@ def test_brauer_command(capsys):
     ("analyze", ".rgraph.json",
      '{"vertices": [{"id": "u", "halfEdges": ["a", "b"]}], "iota": [7]}'),
     ("analyze", ".rgraph.json", '{"vertices": [], "iota": []}'),
+    ("analyze", ".rgraph.json",
+     '{"vertices": [{"id": "a\\nb", "halfEdges": []}], "iota": []}'),
     ("brauer", ".brauer.json", '{"vertices": [1, 2], "iota": []}'),
     ("brauer", ".brauer.json", '{"vertices": [], "iota": []}'),
     ("brauer", ".brauer.json", '{"vertices": [{"id": "u"}], "iota": []}'),

@@ -16,7 +16,6 @@ from gentlekit import (
     ribbon_from_json,
     ribbon_to_json,
     to_ribbon,
-    to_ribbon_with_maps,
 )
 from gentlekit.errors import InfiniteGlobalDimension
 from gentlekit.ribbon import quiver_canonical_form
@@ -122,10 +121,13 @@ def test_round_trips():
 def test_arrow_half_maps():
     for name in FIXTURE_NAMES:
         gq = load_fixture(name)
-        g, arrow_half = to_ribbon_with_maps(gq)
-        assert sorted(arrow_half) == sorted(a.name for a in gq.arrows), name
-        for aname, half in arrow_half.items():
-            assert half in {h for ch in g.chains for h in ch}, (name, aname)
+        g = to_ribbon(gq)
+        pos = gq.permitted_pos
+        assert sorted(pos) == sorted(a.name for a in gq.arrows), name
+        halves = {h for ch in g.chains for h in ch}
+        for aname, half in pos.items():
+            assert half in halves, (name, aname)
+        assert {h: a for a, h in pos.items()} == gq.arrow_at, name
 
 
 def test_min_degree_gate():
