@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from gentlekit import random_marked_ribbon_graph
+from gentlekit.brauer import BrauerGraph, brauer_cartan
 from gentlekit.exact_linalg import (
     IntMatrix,
     IntPolynomial,
@@ -16,6 +18,7 @@ from gentlekit.exact_linalg import (
     root_counts,
     short_vectors,
 )
+from gentlekit.invariants import euler_analysis
 
 
 def test_rank_corank_basics():
@@ -122,15 +125,19 @@ def test_char_poly_matches_cofactor_expansion():
         _char_poly_matches_cofactor(rows)
 
 
+def _random_symmetric(rng, n, lo, hi):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randrange(lo, hi)
+    return rows
+
+
 def test_char_poly_matches_rank_on_random_symmetric():
     rng = random.Random(5)
     for _ in range(40):
         n = rng.randrange(1, 6)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
-        m = IntMatrix(rows)
+        m = IntMatrix(_random_symmetric(rng, n, -3, 4))
         p = char_poly(m)
         # multiplicity of the zero eigenvalue equals the corank
         zeros = 0
@@ -243,39 +250,98 @@ def test_positive_definiteness_checks():
         is_positive_semidefinite(IntMatrix([[1, 2], [3, 4]]))
 
 
-def test_psd_matches_fraction_pivot_oracle():
-    # cross-check the characteristic polynomial sign test against an
-    # exact symmetric elimination over Fractions
-    def psd_by_elimination(m):
-        n = m.shape[0]
-        a = [[Fraction(m.to_lists()[i][j]) for j in range(n)] for i in range(n)]
-        for k in range(n):
-            if a[k][k] < 0:
-                return False
-            if a[k][k] == 0:
-                if any(a[k][j] != 0 for j in range(k, n)):
-                    return False
-                continue
-            for i in range(k + 1, n):
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-        return True
+def _psd_by_char_poly(m):
+    # det(zI - M) has no negative root iff (-1)^(n-k) c_k >= 0 for every
+    # coefficient, since the c_k are signed elementary symmetric functions
+    # of the (real) spectrum
+    n = m.nrows
+    return all((-1) ** (n - k) * c >= 0
+               for k, c in enumerate(char_poly(m).coeffs))
 
+
+def _psd_by_elimination(m):
+    n = m.nrows
+    a = [[Fraction(x) for x in r] for r in m.rows]
+    for k in range(n):
+        if a[k][k] < 0:
+            return False
+        if a[k][k] == 0:
+            if any(a[k][j] != 0 for j in range(k, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def test_psd_matches_fraction_pivot_oracle(quivers):
+    # the library's definiteness tests against two routes computed here:
+    # the sign pattern of the characteristic polynomial and a symmetric
+    # elimination over Fractions
     rng = random.Random(11)
-    for _ in range(80):
-        n = rng.randrange(1, 6)
-        b = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
-        bm = IntMatrix(b)
-        m = bm * bm.transpose()  # always PSD
-        assert is_positive_semidefinite(m)
-        assert psd_by_elimination(m)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = rows[j][i] = rng.randrange(-3, 4)
-        s = IntMatrix(rows)
-        assert is_positive_semidefinite(s) == psd_by_elimination(s)
+    cases = []
+    for n in range(9):
+        for _ in range(12):
+            cases.append(_random_symmetric(rng, n, -3, 4))
+            zero_diag = _random_symmetric(rng, n, -2, 3)
+            for i in range(n):
+                zero_diag[i][i] = 0
+            cases.append(zero_diag)
+            if n == 0:
+                continue
+            # B B^tr with fewer columns than rows is singular
+            k = rng.randint(1, n)
+            b = IntMatrix([[rng.randrange(-2, 3) for _ in range(k)]
+                           for _ in range(n)])
+            gram = (b * b.transpose()).to_lists()
+            cases.append(gram)
+            # a symmetric +-1 at one place tips some of them out of the cone
+            i, j = rng.randrange(n), rng.randrange(n)
+            s = rng.choice((-1, 1))
+            gram[i][j] += s
+            if i != j:
+                gram[j][i] += s
+            cases.append(gram)
+    for k in range(60):
+        g = random_marked_ribbon_graph(rng, kind=("any", "tree",
+                                                  "odd1cycle")[k % 3])
+        if len(g.edges) <= 8:
+            mult = {v: rng.randint(1, 4) for v in g.vertices}
+            cases.append(brauer_cartan(BrauerGraph(g, mult)).to_lists())
+
+    seen = {"psd": 0, "not psd": 0, "pd": 0, "singular psd": 0}
+    for rows in cases:
+        m = IntMatrix(rows)
+        psd = is_positive_semidefinite(m)
+        assert psd == _psd_by_char_poly(m) == _psd_by_elimination(m), rows
+        pd = is_positive_definite(m)
+        assert pd == (psd and det(m) != 0), rows
+        seen["psd" if psd else "not psd"] += 1
+        seen["pd"] += pd
+        seen["singular psd"] += psd and not pd
+    assert min(seen.values()) >= 40, seen
+
+    # short_vectors on the fixtures' positive Euler forms, frozen
+    want = {
+        "loop": {2: [], 4: [(-1,)], 8: [(-1,)]},
+        "tree": {2: [(0, -1), (1, -1), (-1, 0)],
+                 4: [(0, -1), (1, -1), (-1, 0)],
+                 8: [(0, -2), (1, -2), (2, -2), (-1, -1), (0, -1), (1, -1),
+                     (2, -1), (-2, 0), (-1, 0)]},
+        "smallrow2": {2: [(1, -1), (-1, 0)],
+                      4: [(0, -1), (1, -1), (2, -1), (-1, 0)],
+                      8: [(2, -2), (0, -1), (1, -1), (2, -1), (-2, 0),
+                          (-1, 0)]},
+    }
+    for name, gq in quivers.items():
+        gram = euler_analysis(gq).gramProjectives
+        if name in want:
+            assert {b: short_vectors(gram, b) for b in (2, 4, 8)} == want[name]
+        else:
+            with pytest.raises(ValueError):
+                short_vectors(gram, 4)
 
 
 def test_polynomial_arithmetic():
