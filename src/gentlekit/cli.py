@@ -7,7 +7,6 @@ mismatches (which indicate a bug, never bad input).
 
 import argparse
 import json
-import os
 import random
 import sys
 from pathlib import Path
@@ -307,9 +306,6 @@ def cmd_selftest(args):
     if args.count < 1:
         raise ValueError("--count must be at least 1, got %d" % args.count)
     seed = args.seed
-    env = os.environ.get("GENTLEKIT_SEED")
-    if env is not None:
-        seed = int(env)
     rng = random.Random(seed)
     kinds = ("any", "tree", "odd1cycle")
     for k in range(args.count):

@@ -14,7 +14,7 @@ from .errors import BoundTooLarge, InternalMismatch
 from .exact_linalg import qform_eval, root_counts
 from .invariants import euler_analysis
 from .ribbon import to_ribbon
-from .walks import (NotReduced, Walk, classify_walk, connecting_path,
+from .walks import (Walk, classify_walk, connecting_path, deg_step,
                     enumerate_reduced_walks, incidence_vector, plus_ops)
 
 
@@ -54,8 +54,6 @@ class BandComplex:
 
 
 def _cumulative_degrees(w):
-    from .walks import deg_step
-
     cum = [0]
     for t in range(len(w.edges) - 1):
         cum.append(cum[-1] + deg_step(w.graph, w.edges[t], w.edges[t + 1]))
@@ -64,9 +62,8 @@ def _cumulative_degrees(w):
 
 def build_string_complex(gq, m, w):
     """Unfold a reduced walk into terms and maps; trivial walks give the
-    zero complex."""
-    if not w.reduced:
-        raise NotReduced("string complexes need reduced walks")
+    zero complex.  connecting_path raises NotReduced at a backtracking
+    junction."""
     if w.trivial:
         return StringComplex(m, w, (), ())
     g = to_ribbon(gq)
@@ -75,11 +72,11 @@ def build_string_complex(gq, m, w):
     if w.graph.vertices != g.vertices or w.graph.edge_halves != g.edge_halves:
         raise ValueError("walk graph does not match the quiver's own graph; "
                          "take walks on to_ribbon(gq)")
-    cum = _cumulative_degrees(w)
-    terms = [(m + cum[t], w.edges[t][0]) for t in range(len(w.edges))]
+    terms = [(m, w.edges[0][0])]
     maps = []
     for t in range(len(w.edges) - 1):
         d, steps = connecting_path(w.graph, w.edges[t], w.edges[t + 1])
+        terms.append((terms[-1][0] + d, w.edges[t + 1][0]))
         path = tuple(gq.arrow_at[h] for h in steps)
         if d > 0:
             maps.append((t, t + 1, path, False))
@@ -109,7 +106,7 @@ def k0_class(x):
         return direct
     if isinstance(x, BandComplex):
         g = x.belt.graph
-        core = Walk(g, x.belt.edges[:-1])
+        core = Walk._trusted(g, x.belt.edges[:-1])
         sign = (-1) ** x.m
         direct = tuple(sign * x.d * v for v in incidence_vector(core))
         cum = _cumulative_degrees(x.belt)
@@ -233,7 +230,7 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
                 raise InternalMismatch(
                     "found %d nonzero classes, expected %d" % (nonzero,
                                                                expected))
-            oracle = root_counts(gram, up_to=2)
+            oracle = root_counts(gram, up_to=1)
             if ea.nabla == 1:
                 if value_counts.get(1, 0) != expected or oracle[1] != expected:
                     raise InternalMismatch("1-root counts disagree")
@@ -269,9 +266,8 @@ class ARTriangle:
 
 
 def ar_translate(gq, m, w):
-    """Almost split triangle starting at the complex of (m, w)."""
-    if not w.reduced:
-        raise NotReduced("translation needs a reduced walk")
+    """Almost split triangle starting at the complex of (m, w); plus_ops
+    rejects a walk that is not reduced."""
     ops = plus_ops(w)
     start = build_string_complex(gq, m, w)
     middle = []

@@ -1,13 +1,16 @@
 """Exact linear algebra over the integers.
 
 Everything in here works with arbitrary-precision ints, and with Fractions
-where a division is not exact: in the short-vector search and in a
-characteristic polynomial whose Hessenberg reduction meets a non-dividing
-pivot.  No floats, ever: ranks and determinants come from fraction-free
-elimination, and every result is exact.
+where a division is not exact: in the LDL^T decomposition behind the
+definiteness tests and the short-vector search, and in a characteristic
+polynomial whose Hessenberg reduction meets a non-dividing pivot.  No
+floats, ever: ranks and determinants come from fraction-free elimination,
+and every result is exact.
 """
 
+import math
 from fractions import Fraction
+from operator import add, neg, sub
 
 
 class NotSquare(ValueError):
@@ -35,8 +38,11 @@ class IntMatrix:
         self.ncols = len(rows[0]) if rows else 0
 
     @classmethod
-    def zeros(cls, n, m):
-        return cls([[0] * m for _ in range(n)])
+    def _trusted(cls, rows):
+        """Rows computed from checked matrices: equal-length int tuples."""
+        m = object.__new__(cls)
+        m.rows, m.nrows, m.ncols = rows, len(rows), len(rows[0]) if rows else 0
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -49,16 +55,12 @@ class IntMatrix:
         n = len(cols[0])
         return cls([[c[i] for c in cols] for i in range(n)])
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return IntMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                          for j in range(self.ncols)])
+        return IntMatrix._trusted(tuple(zip(*self.rows)))
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -72,26 +74,25 @@ class IntMatrix:
     def __repr__(self):
         return "IntMatrix(%r)" % (self.to_lists(),)
 
-    def __add__(self, other):
-        self._samesize(other)
-        return IntMatrix([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        self._samesize(other)
-        return IntMatrix([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return IntMatrix([[-a for a in r] for r in self.rows])
-
-    def _samesize(self, other):
+    def _entrywise(self, op, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch %r vs %r" % (self.shape, other.shape))
+        return IntMatrix._trusted(tuple(tuple(map(op, r1, r2))
+                                        for r1, r2 in zip(self.rows, other.rows)))
+
+    def __add__(self, other):
+        return self._entrywise(add, other)
+
+    def __sub__(self, other):
+        return self._entrywise(sub, other)
+
+    def __neg__(self):
+        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix([[a * other for a in r] for r in self.rows])
+            return IntMatrix._trusted(tuple(tuple(a * other for a in r)
+                                            for r in self.rows))
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %r * %r" % (self.shape, other.shape))
         # row i of the product is the sum of a * (row k of other) over the
@@ -104,8 +105,8 @@ class IntMatrix:
                 if a:
                     for j, b in nz:
                         acc[j] += a * b
-            out.append(acc)
-        return IntMatrix(out)
+            out.append(tuple(acc))
+        return IntMatrix._trusted(tuple(out))
 
     __rmul__ = __mul__
 
@@ -117,7 +118,7 @@ class IntMatrix:
         return tuple(sum(r[j] * x for j, x in nz) for r in self.rows)
 
     def is_symmetric(self):
-        return self.nrows == self.ncols and self == self.transpose()
+        return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
 
 
 def _bareiss(mat):
@@ -376,27 +377,53 @@ class IntPolynomial:
         return "IntPolynomial(%r)" % (list(self.coeffs),)
 
 
+def _ldl(mat):
+    """Exact M = U^T diag(d) U for a symmetric M, as (d, u) with u[k][j] the
+    entries of the unit upper triangular U; None when M is not positive
+    semidefinite.  Raises ValueError when M is not symmetric.
+
+    A zero pivot is allowed only on an all-zero row of the Schur complement:
+    an entry b != 0 beside it makes the minor [[0, b], [b, c]] negative.
+    Entries stay ints while the pivot divides and become Fractions if not.
+    """
+    if not mat.is_symmetric():
+        raise ValueError("definiteness needs a symmetric matrix")
+    n = mat.nrows
+    a = [list(r) for r in mat.rows]
+    d, u = [], []
+    for k, row in enumerate(a):
+        p = row[k]
+        if p < 0 or (p == 0 and any(row[k + 1:])):
+            return None
+        uk = [0] * n
+        if p:
+            for j in range(k + 1, n):
+                v = row[j]
+                uk[j] = v // p if v % p == 0 else Fraction(v, p)
+            for i in range(k + 1, n):
+                f = row[i]
+                if f:
+                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], uk[i:])]
+        d.append(p)
+        u.append(uk)
+    return d, u
+
+
 def short_vectors(gram, bound):
     """All integer vectors x != 0 with x^T G x <= bound, for G positive definite.
 
     Exact rational LDL^T decomposition followed by the usual nested interval
-    enumeration.  Raises ValueError when G is not positive definite.
-    Returns vectors as tuples; for every x only one of x, -x is listed.
+    enumeration.  Raises ValueError when G is not symmetric and positive
+    definite.  Returns vectors as tuples; for every x only one of x, -x is
+    listed.
     """
     if gram.nrows != gram.ncols:
         raise NotSquare("gram matrix of shape %r" % (gram.shape,))
     n = gram.nrows
-    if n == 0:
-        return []
-    g = [[Fraction(gram.rows[i][j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = g[i][i] - sum(d[k] * u[k][i] * u[k][i] for k in range(i))
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = (g[i][j] - sum(d[k] * u[k][i] * u[k][j] for k in range(i))) / d[i]
+    ldl = _ldl(gram)
+    if ldl is None or not all(ldl[0]):
+        raise ValueError("matrix is not positive definite")
+    d, u = ldl
 
     # q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2, scanned from the
     # last coordinate inward.
@@ -405,35 +432,27 @@ def short_vectors(gram, bound):
 
     def scan(i, remaining):
         if i < 0:
-            if any(x):
+            # of x and -x the scan reaches first the one whose last nonzero
+            # entry is negative; only that one is kept
+            if next((v for v in reversed(x) if v), 0) < 0:
                 out.append(tuple(x))
             return
         center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
         # integers t with d[i]*(t - center)^2 <= remaining
-        t = int(center)          # floor for positive, trunc otherwise; fixed below
-        if Fraction(t) > center:
-            t -= 1
+        t = math.floor(center)
         lo = t
-        while d[i] * (Fraction(lo) - center) ** 2 <= remaining:
+        while d[i] * (lo - center) ** 2 <= remaining:
             lo -= 1
         hi = t + 1
-        while d[i] * (Fraction(hi) - center) ** 2 <= remaining:
+        while d[i] * (hi - center) ** 2 <= remaining:
             hi += 1
         for v in range(lo + 1, hi):
             x[i] = v
-            scan(i - 1, remaining - d[i] * (Fraction(v) - center) ** 2)
+            scan(i - 1, remaining - d[i] * (v - center) ** 2)
         x[i] = 0
 
-    scan(n - 1, Fraction(bound))
-    # keep one representative per +/- pair
-    seen = set()
-    unique = []
-    for v in out:
-        if tuple(-a for a in v) in seen:
-            continue
-        seen.add(v)
-        unique.append(v)
-    return unique
+    scan(n - 1, bound)
+    return out
 
 
 def root_counts(gram, up_to=2):
@@ -442,28 +461,19 @@ def root_counts(gram, up_to=2):
     Both x and -x are counted, matching a plain box enumeration.
     """
     counts = {v: 0 for v in range(1, up_to + 1)}
+    # every listed x has 0 < x^T G x <= 2 * up_to
     for x in short_vectors(gram, 2 * up_to):
-        v = qform_eval(gram, x)
-        if 1 <= v <= up_to:
-            counts[v] += 2
+        counts[qform_eval(gram, x)] += 2
     return counts
 
 
 def is_positive_semidefinite(mat):
-    """Exact test for a symmetric integer matrix.
-
-    det(zI - M) has no negative root iff (-1)^(n-k) c_k >= 0 for every
-    coefficient, since the c_k are signed elementary symmetric functions of
-    the (real) spectrum.
-    """
-    if not mat.is_symmetric():
-        raise ValueError("semidefiniteness test needs a symmetric matrix")
-    p = char_poly(mat)
-    n = mat.nrows
-    return all((-1) ** (n - k) * c >= 0 for k, c in enumerate(p.coeffs))
+    """Exact test for a symmetric integer matrix, by LDL^T."""
+    return _ldl(mat) is not None
 
 
 def is_positive_definite(mat):
-    if not is_positive_semidefinite(mat):
-        return False
-    return det(mat) != 0
+    """Exact test for a symmetric integer matrix: semidefinite with every
+    LDL^T pivot nonzero, since det M is their product."""
+    ldl = _ldl(mat)
+    return ldl is not None and all(ldl[0])

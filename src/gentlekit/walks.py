@@ -51,6 +51,13 @@ class Walk:
                 raise ValueError("a trivial walk needs a base vertex")
             self.base = base
 
+    @classmethod
+    def _trusted(cls, graph, edges):
+        """A walk on a non-empty tuple of edges built to meet."""
+        w = object.__new__(cls)
+        w.graph, w.edges, w.base = graph, edges, None
+        return w
+
     @property
     def trivial(self):
         return not self.edges
@@ -85,21 +92,13 @@ class Walk:
     def inverse(self):
         if self.trivial:
             return self
-        return Walk(self.graph, tuple(_inv(e) for e in reversed(self.edges)))
-
-    def prefix(self, t):
-        """The first t written edges."""
-        if t == 0:
-            return Walk(self.graph, (), base=self.target_vertex)
-        return Walk(self.graph, self.edges[:t])
+        return Walk._trusted(self.graph,
+                             tuple(_inv(e) for e in reversed(self.edges)))
 
     def render(self):
         if self.trivial:
             return "(trivial at %s)" % self.base
         return " ".join(str(e if s > 0 else -e) for e, s in self.edges)
-
-    def sort_key(self):
-        return tuple((e, 0 if s > 0 else 1) for e, s in self.edges)
 
     def __eq__(self, other):
         return (isinstance(other, Walk) and self.graph is other.graph
@@ -152,9 +151,8 @@ def _face_deg_step(g, i, j):
 
 
 def degree(w):
-    """Sum of junction degrees; 0 for trivial and single-edge walks."""
-    if not w.reduced:
-        raise NotReduced("degree is only defined for reduced walks")
+    """Sum of junction degrees; 0 for trivial and single-edge walks.
+    deg_step raises NotReduced at a backtracking junction."""
     g = w.graph
     return sum(deg_step(g, w.edges[t], w.edges[t + 1])
                for t in range(len(w.edges) - 1))
@@ -203,7 +201,7 @@ def is_belt(w):
     core = e[:-1]
     if _period(core) != len(core):
         return False
-    if not Walk(g, core).closed:
+    if g.s_vertex(core[-1]) != g.t_vertex(core[0]):
         return False
     total = sum(deg_step(g, e[t], e[t + 1]) for t in range(len(e) - 1))
     if total != 0:
@@ -237,7 +235,7 @@ def anti_walk(g, vertex_id):
         edges.append(g.oriented_with_target((sh[0], sh[1] + 1)))
         if len(edges) > limit:
             raise AssertionError("descent failed to terminate")
-    return Walk(g, edges)
+    return Walk._trusted(g, tuple(edges))
 
 
 def anti_walks(g):
@@ -350,7 +348,7 @@ def faces(g):
             factors = ()
         d = sum(_face_deg_step(g, canon[t], canon[(t + 1) % len(canon)])
                 for t in range(len(canon)))
-        out.append(Face(Walk(g, canon), is_full, factors, d))
+        out.append(Face(Walk._trusted(g, tuple(canon)), is_full, factors, d))
     if used_orbits != set(orbit_faces):
         raise AssertionError("an anti-walk orbit failed to appear as a face")
     return out
@@ -379,7 +377,7 @@ def reduced_concat(w1, w2):
     rest = e1[:len(e1) - k] + e2[k:]
     if not rest:
         return trivial_walk(w1.graph, w1.target_vertex)
-    return Walk(w1.graph, rest)
+    return Walk._trusted(w1.graph, tuple(rest))
 
 
 class PlusOps:
@@ -426,7 +424,7 @@ def enumerate_reduced_walks(g, max_len):
         extensions[vid] = [g.oriented_with_target(h) for h in g.chains[vi]]
 
     def grow(edges):
-        out.append(Walk(g, tuple(edges)))
+        out.append(Walk._trusted(g, tuple(edges)))
         if len(edges) == max_len:
             return
         last = edges[-1]
@@ -450,12 +448,11 @@ def enumerate_belts(g, max_core_len):
     for w in enumerate_reduced_walks(g, max_core_len):
         if w.length < 2 or not w.closed:
             continue
-        cand = Walk(g, w.edges + (w.edges[0],))
-        if not cand.reduced or not is_belt(cand):
+        cand = Walk._trusted(g, w.edges + (w.edges[0],))
+        if not is_belt(cand):
             continue
-        core = cand.edges[:-1]
-        n = len(core)
-        key = min(tuple(core[k:] + core[:k]) for k in range(n))
+        # the core of the belt is w itself
+        key = min(w.edges[k:] + w.edges[:k] for k in range(w.length))
         if key in seen:
             continue
         seen.add(key)

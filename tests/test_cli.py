@@ -210,13 +210,6 @@ def test_selftest_rejects_count_below_one(capsys, count):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_selftest_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("GENTLEKIT_SEED", "11")
-    code, out, _ = run_cli(capsys, "selftest", "--count", "4")
-    assert code == 0
-    assert "(seed 11)" in out
-
-
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

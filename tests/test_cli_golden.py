@@ -10,9 +10,7 @@ them only for an intended output change, and say so in CHANGES.md:
 import contextlib
 import io
 import json
-import os
 import pathlib
-import sys
 
 import pytest
 
@@ -63,8 +61,7 @@ def golden():
 
 
 @pytest.mark.parametrize("argv", cases(), ids=key)
-def test_cli_output_is_unchanged(argv, golden, monkeypatch):
-    monkeypatch.delenv("GENTLEKIT_SEED", raising=False)
+def test_cli_output_is_unchanged(argv, golden):
     code, stdout = run(argv)
     want = golden[key(argv)]
     assert code == want["exit"]
@@ -72,7 +69,6 @@ def test_cli_output_is_unchanged(argv, golden, monkeypatch):
 
 
 def record():
-    os.environ.pop("GENTLEKIT_SEED", None)
     data = {}
     for argv in cases():
         code, stdout = run(argv)

@@ -16,6 +16,7 @@ from gentlekit.errors import BoundTooLarge
 from gentlekit.exact_linalg import qform_eval
 from gentlekit.invariants import coxeter, euler_analysis
 from gentlekit.walks import (
+    NotReduced,
     classify_walk,
     degree,
     enumerate_belts,
@@ -41,6 +42,11 @@ def test_string_complex_frozen():
                       (4, 5, ("a1",), False), (5, 6, ("b1",), False))
     assert not x.zero
     assert k0_class(x) == (1, 0, -1, -1, 1, 1)
+    backtracking = parse_walk(g, "2 -3 3")
+    with pytest.raises(NotReduced):
+        build_string_complex(gq, 0, backtracking)
+    with pytest.raises(NotReduced):
+        ar_translate(gq, 0, backtracking)
 
 
 def test_string_complex_shift_moves_degrees():
