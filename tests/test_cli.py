@@ -210,6 +210,17 @@ def test_selftest_rejects_count_below_one(capsys, count):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_selftest_env_seed(capsys, monkeypatch):
+    # --seed (default 0) is the only knob; GENTLEKIT_SEED no longer overrides it
+    monkeypatch.setenv("GENTLEKIT_SEED", "11")
+    code, out, _ = run_cli(capsys, "selftest", "--count", "4")
+    assert code == 0
+    assert out == "selftest passed: 4 quivers (seed 0)\n"
+    code, out, _ = run_cli(capsys, "selftest", "--count", "4", "--seed", "5")
+    assert code == 0
+    assert out == "selftest passed: 4 quivers (seed 5)\n"
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

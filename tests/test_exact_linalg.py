@@ -185,6 +185,31 @@ def _random_rows(rng, n, m, density):
              for _ in range(m)] for _ in range(n)]
 
 
+def _assert_passes_outside_check(m):
+    # derived matrices skip IntMatrix(rows)'s coercion and ragged-row check
+    assert isinstance(m.rows, tuple)
+    assert all(isinstance(r, tuple) for r in m.rows)
+    assert all(type(x) is int for r in m.rows for x in r)
+    checked = IntMatrix(m.rows)
+    assert checked == m and checked.shape == m.shape
+
+
+def test_derived_matrices_pass_outside_validation():
+    rng = random.Random(67)
+    for _ in range(200):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = IntMatrix(_random_rows(rng, n, k, 0.6))
+        a2 = IntMatrix(_random_rows(rng, n, k, 0.6))
+        b = IntMatrix(_random_rows(rng, k, m, 0.6))
+        c = rng.randint(-3, 3)
+        for r in (a + a2, a - a2, -a, a * c, c * a, a * b, a.transpose(),
+                  (a * b).transpose() - b.transpose() * a.transpose()):
+            _assert_passes_outside_check(r)
+    empty = IntMatrix([])
+    for r in (empty + empty, -empty, empty * 2, empty * empty, empty.transpose()):
+        _assert_passes_outside_check(r)
+
+
 def test_products_match_written_out_loops():
     rng = random.Random(23)
     pairs = []

@@ -242,6 +242,41 @@ def test_enumerate_belts_frozen():
     assert enumerate_belts(_ribbon("loop"), 6) == []
 
 
+def _assert_passes_outside_check(w):
+    assert isinstance(w.edges, tuple) and w.edges and w.base is None
+    assert Walk(w.graph, w.edges) == w
+
+
+def test_derived_walks_pass_outside_validation():
+    # walks the library derives skip the adjacency check of Walk(g, edges);
+    # every one of them must still pass it
+    rng = random.Random(61)
+    graphs = [_ribbon(name) for name in FIXTURE_NAMES]
+    graphs += [random_marked_ribbon_graph(rng, kind="any") for _ in range(12)]
+    for g in graphs:
+        walks = enumerate_reduced_walks(g, 4)
+        for w in walks:
+            _assert_passes_outside_check(w)
+            _assert_passes_outside_check(w.inverse())
+            ops = plus_ops(w)
+            for x in (ops.left_plus, ops.right_plus, ops.both_plus):
+                if not x.trivial:
+                    _assert_passes_outside_check(x)
+        for w1 in walks[:40]:
+            for w2 in walks[:40]:
+                if w1.source_vertex == w2.target_vertex:
+                    x = reduced_concat(w1, w2)
+                    if not x.trivial:
+                        _assert_passes_outside_check(x)
+        for w in anti_walks(g)[0].values():
+            _assert_passes_outside_check(w)
+        for f in faces(g):
+            _assert_passes_outside_check(f.walk)
+        for b in enumerate_belts(g, 4):
+            _assert_passes_outside_check(b)
+            assert Walk(g, b.edges[:-1]).closed
+
+
 def test_random_anti_walk_partition():
     rng = random.Random(123)
     for _ in range(50):
