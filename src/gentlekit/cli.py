@@ -6,6 +6,7 @@ mismatches (which indicate a bug, never bad input).
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -326,73 +327,58 @@ def cmd_selftest(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="gentlekit",
         description="Graph invariants of gentle bound quivers")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        return sp
 
-    a = sub.add_parser("analyze", help="full invariant report for one quiver")
+    a = command("analyze", cmd_analyze, "full invariant report for one quiver")
     a.add_argument("path")
     a.add_argument("--dot", action="store_true",
                    help="emit the ribbon graph in DOT format instead")
-    common(a)
 
-    c = sub.add_parser("compare", help="compare derived invariants of two quivers")
+    c = command("compare", cmd_compare,
+                "compare derived invariants of two quivers")
     c.add_argument("pathA")
     c.add_argument("pathB")
-    common(c)
 
-    w = sub.add_parser("walk", help="string complex and triangle for one walk")
+    w = command("walk", cmd_walk, "string complex and triangle for one walk")
     w.add_argument("path")
     w.add_argument("--walk", required=True,
                    help="signed edge word, e.g. '-1 3 5'")
     w.add_argument("--shift", type=int, default=0)
-    common(w)
 
-    r = sub.add_parser("roots", help="perfect complex classes up to a length")
+    r = command("roots", cmd_roots, "perfect complex classes up to a length")
     r.add_argument("path")
     r.add_argument("--max-len", type=int, default=6)
-    common(r)
 
-    g = sub.add_parser("aag", help="orbit/face pair multiset")
-    g.add_argument("path")
-    common(g)
+    command("aag", cmd_aag, "orbit/face pair multiset").add_argument("path")
+    command("coxeter", cmd_coxeter,
+            "Coxeter matrix and polynomial").add_argument("path")
+    command("brauer", cmd_brauer,
+            "Brauer graph Cartan classification").add_argument("path")
 
-    x = sub.add_parser("coxeter", help="Coxeter matrix and polynomial")
-    x.add_argument("path")
-    common(x)
-
-    b = sub.add_parser("brauer", help="Brauer graph Cartan classification")
-    b.add_argument("path")
-    common(b)
-
-    s = sub.add_parser("selftest", help="randomized identity suite")
+    s = command("selftest", cmd_selftest, "randomized identity suite")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--count", type=int, default=20)
-    common(s)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("text", "json"), default="text")
     return p
-
-
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "compare": cmd_compare,
-    "walk": cmd_walk,
-    "roots": cmd_roots,
-    "aag": cmd_aag,
-    "coxeter": cmd_coxeter,
-    "brauer": cmd_brauer,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except InternalMismatch as exc:
         sys.stderr.write("internal mismatch: %s\n" % exc)
         return 3

@@ -27,10 +27,6 @@ class StringComplex:
         self.terms = tuple(terms)    # (cohomological degree, projective id)
         self.maps = tuple(maps)      # (from term, to term, path, reversed)
 
-    @property
-    def zero(self):
-        return not self.terms
-
     def __repr__(self):
         return "StringComplex(m=%d, %s)" % (self.m, self.walk.render())
 

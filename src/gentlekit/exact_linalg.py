@@ -50,10 +50,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols):
-        if not cols:
-            return cls([])
-        n = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(n)])
+        return cls(cols).transpose()
 
     @property
     def shape(self):
@@ -271,10 +268,6 @@ class IntPolynomial:
     def monomial(cls, n, c=1):
         return cls([0] * n + [c])
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -347,12 +340,6 @@ class IntPolynomial:
         if any(rem):
             raise ValueError("inexact polynomial division (remainder)")
         return IntPolynomial(quot)
-
-    def eval(self, x):
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
 
     def __str__(self):
         if not self.coeffs:

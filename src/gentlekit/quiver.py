@@ -298,10 +298,6 @@ class GentleQuiver:
             for t, name in enumerate(th.arrows, start=1):
                 self.permitted_pos[name] = (th.index, t)
                 self.arrow_at[(th.index, t)] = name
-        self.forbidden_pos = {}
-        for th in self.forbidden:
-            for t, name in enumerate(th.arrows, start=1):
-                self.forbidden_pos[name] = (th.index, t)
         # the two permitted half-positions centered at each vertex, sorted
         self.halves_at = thread_centers(self.permitted, self.base.vertices)
         self._memo = {}

@@ -83,12 +83,8 @@ class RibbonGraph:
     def z(self, half):
         return self.vertices[half[0]]
 
-    def rho(self, half):
-        """Rotate one step up the chain; the top wraps to the bottom."""
-        i, p = half
-        return (i, p - 1) if p > 0 else (i, self.counts[i] - 1)
-
     def rho_inv(self, half):
+        """Rotate one step down the chain; the bottom wraps to the top."""
         i, p = half
         return (i, p + 1) if p + 1 < self.counts[i] else (i, 0)
 

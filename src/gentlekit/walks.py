@@ -270,9 +270,8 @@ class Face:
 
     @property
     def pair(self):
+        # d sums ell junction degrees of +-1, so ell - d is even
         ell, d = self.length, self.deg_closed
-        if (ell - d) % 2:
-            raise AssertionError("odd face defect")
         return ((ell - d) // 2, (ell + d) // 2)
 
     def __repr__(self):
@@ -335,10 +334,11 @@ def faces(g):
     used_orbits = set()
     for cyc in cycles:
         kset = frozenset(cyc)
-        canon = _canonical_rotation(list(cyc))
+        canon = _canonical_rotation(cyc)
         if kset in orbit_faces:
             edges, orbit = orbit_faces[kset]
-            if _canonical_rotation(list(edges)) != canon:
+            k = cyc.index(edges[0])
+            if cyc[k:] + cyc[:k] != edges:
                 raise AssertionError("anti-walk face does not match its orbit")
             used_orbits.add(kset)
             is_full = False
@@ -348,7 +348,7 @@ def faces(g):
             factors = ()
         d = sum(_face_deg_step(g, canon[t], canon[(t + 1) % len(canon)])
                 for t in range(len(canon)))
-        out.append(Face(Walk._trusted(g, tuple(canon)), is_full, factors, d))
+        out.append(Face(Walk._trusted(g, canon), is_full, factors, d))
     if used_orbits != set(orbit_faces):
         raise AssertionError("an anti-walk orbit failed to appear as a face")
     return out

@@ -226,6 +226,21 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["frobnicate"])
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    golden = json.loads((FIXTURES.parent / "cli_golden.json").read_text())
+    want = golden["aag fixtures/tree.quiver --format json"]
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "aag", fx("tree.quiver"), "--format", "json")
+    assert code == want["exit"] == 0
+    assert out == want["stdout"]
+    # any number of calls in one process share the one parser
+    assert build_parser.cache_info().misses == 1
+
+
 def test_console_script_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "gentlekit.cli", "aag", fx("tree.quiver")],

