@@ -40,7 +40,10 @@ class BrauerGraph:
 
 def brauer_from_json(data):
     if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     g = ribbon_from_json(data, min_degree_two=False)
     mult = {}
     for entry in data["vertices"]:

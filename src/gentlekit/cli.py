@@ -318,7 +318,7 @@ def cmd_selftest(args):
             if ribbon_canonical_form(back) != ribbon_canonical_form(g):
                 raise InternalMismatch("graph -> quiver -> graph changed "
                                        "the graph")
-        except AssertionError as exc:
+        except InternalMismatch as exc:
             sys.stderr.write("selftest failure on instance %d (seed %d): %s\n"
                              % (k, seed, exc))
             return 1

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from operator import add, neg, sub
 
+from .errors import InternalMismatch
+
 
 class NotSquare(ValueError):
     pass
@@ -38,10 +40,10 @@ class IntMatrix:
         self.ncols = len(rows[0]) if rows else 0
 
     @classmethod
-    def _trusted(cls, rows):
-        """Rows computed from checked matrices: equal-length int tuples."""
+    def _trusted(cls, rows, ncols):
+        """Rows computed from checked matrices: int tuples of length ncols."""
         m = object.__new__(cls)
-        m.rows, m.nrows, m.ncols = rows, len(rows), len(rows[0]) if rows else 0
+        m.rows, m.nrows, m.ncols = rows, len(rows), ncols
         return m
 
     @classmethod
@@ -57,7 +59,8 @@ class IntMatrix:
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return IntMatrix._trusted(tuple(zip(*self.rows)))
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return IntMatrix._trusted(rows, self.nrows)
 
     def to_lists(self):
         return [list(r) for r in self.rows]
@@ -75,7 +78,8 @@ class IntMatrix:
         if self.shape != other.shape:
             raise ValueError("shape mismatch %r vs %r" % (self.shape, other.shape))
         return IntMatrix._trusted(tuple(tuple(map(op, r1, r2))
-                                        for r1, r2 in zip(self.rows, other.rows)))
+                                        for r1, r2 in zip(self.rows, other.rows)),
+                                  self.ncols)
 
     def __add__(self, other):
         return self._entrywise(add, other)
@@ -84,12 +88,13 @@ class IntMatrix:
         return self._entrywise(sub, other)
 
     def __neg__(self):
-        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self.rows))
+        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self.rows),
+                                  self.ncols)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return IntMatrix._trusted(tuple(tuple(a * other for a in r)
-                                            for r in self.rows))
+                                            for r in self.rows), self.ncols)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %r * %r" % (self.shape, other.shape))
         # row i of the product is the sum of a * (row k of other) over the
@@ -103,7 +108,7 @@ class IntMatrix:
                     for j, b in nz:
                         acc[j] += a * b
             out.append(tuple(acc))
-        return IntMatrix._trusted(tuple(out))
+        return IntMatrix._trusted(tuple(out), other.ncols)
 
     __rmul__ = __mul__
 
@@ -176,8 +181,8 @@ def char_poly(mat):
     on its nonzero candidate of least absolute value.  An entry stays an
     int while its multiplier divides exactly and becomes a Fraction where
     one does not.  det(z*I - H) then follows from the recurrence over the
-    leading blocks of H.  The coefficients are integers, which we assert
-    rather than assume.
+    leading blocks of H.  The coefficients are integers, which is checked
+    rather than assumed.
     """
     if mat.nrows != mat.ncols:
         raise NotSquare("characteristic polynomial of a %r matrix" % (mat.shape,))
@@ -232,7 +237,7 @@ def char_poly(mat):
         polys.append(nxt)
     coeffs = polys[n]
     if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("non-integral coefficient in char poly")
+        raise InternalMismatch("non-integral coefficient in char poly")
     return IntPolynomial(coeffs)
 
 

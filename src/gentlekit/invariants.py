@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, IntPolynomial, char_poly, det, rank_corank
-from .quiver import cartan_matrix, connected, per_quiver
+from .quiver import cartan_matrix, connected, cycles, per_quiver
 from .ribbon import (forbidden_ribbon, incidence_matrix, is_bipartite,
                      to_ribbon)
 from .walks import anti_walk, faces, incidence_vector
@@ -212,22 +212,10 @@ def _orbit_pairs(gq):
                                         lambda th: th.initial_arrow))
 
     # both maps are injective and total, so their composite permutes the
-    # permitted threads and every walk below closes up at th
-    pairs = []
-    seen = set()
-    for th in gq.permitted:
-        if id(th) in seen:
-            continue
-        n = 0
-        m = 0
-        cur = th
-        while id(cur) not in seen:
-            seen.add(id(cur))
-            n += 1
-            f = to_forb[id(cur)]
-            m += f.length
-            cur = to_perm[id(f)]
-        pairs.append((n, m))
+    # permitted threads
+    pairs = [(len(orbit), sum(to_forb[id(th)].length for th in orbit))
+             for orbit in cycles(gq.permitted,
+                                 lambda th: to_perm[id(to_forb[id(th)])])]
     for cyc in gq.full_cycles:
         pairs.append((0, len(cyc)))
     return pairs

@@ -22,6 +22,8 @@ import functools
 import re
 from collections import namedtuple
 
+from .errors import InternalMismatch
+
 
 class QuiverSyntaxError(ValueError):
     def __init__(self, msg, line, col):
@@ -60,6 +62,24 @@ def connected(nodes, pairs):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(adj)
+
+
+def cycles(items, succ):
+    """The cycles of the successor map succ, each a tuple starting at its
+    first item in items order.  Following stops at an item already seen, so
+    a map that is not a permutation cannot loop forever."""
+    out = []
+    seen = set()
+    for start in items:
+        cyc = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            cur = succ(cur)
+        if cyc:
+            out.append(tuple(cyc))
+    return out
 
 
 class BoundQuiver:
@@ -396,15 +416,8 @@ def _chains(arrow_names, nxt, prv):
             chain.append(nxt[chain[-1]])
         chains.append(chain)
         placed.update(chain)
-    cycles = []
-    for name in arrow_names:
-        if name not in placed:
-            cyc = [name]
-            while nxt[cyc[-1]] != name:
-                cyc.append(nxt[cyc[-1]])
-            cycles.append(cyc)
-            placed.update(cyc)
-    return chains, cycles
+    return chains, cycles([a for a in arrow_names if a not in placed],
+                          nxt.__getitem__)
 
 
 def _written(q, traversal):
@@ -460,13 +473,12 @@ def validate_gentle(q):
     f_chains, f_cycles = _chains(names, nxt_f, prv_f)
     forb_words = [_written(q, tr) for tr in f_chains]
     forbidden = _sort_threads(q, forb_words, _trivial_vertices(q, nxt_f))
-    cycles = []
+    full_cycles = []
     for tr in f_cycles:
         written = tuple(reversed(tr))
         k = written.index(min(written))
-        cycles.append(written[k:] + written[:k])
-    cycles.sort()
-    return GentleQuiver(q, permitted, forbidden, cycles)
+        full_cycles.append(written[k:] + written[:k])
+    return GentleQuiver(q, permitted, forbidden, sorted(full_cycles))
 
 
 @per_quiver
@@ -538,7 +550,7 @@ def string_functions(gq, direction):
         T[name] = -sigma[(ti, t - 1)]
     pair = StringFunctionPair(S, T)
     if not pair.check(gq.base):
-        raise AssertionError("constructed sign pair violates the constraints")
+        raise InternalMismatch("constructed sign pair violates the constraints")
     return pair
 
 

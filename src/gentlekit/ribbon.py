@@ -276,7 +276,10 @@ def ribbon_from_json(data, min_degree_two=True):
     maximal first) and iota pairs; edge ids are assigned 1..E following the
     smaller half of each edge in (vertex order, position) order."""
     if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
     try:
         vlist = data["vertices"]
         iota = data["iota"]

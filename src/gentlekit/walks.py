@@ -14,6 +14,7 @@ successor permutation on oriented edges.
 """
 
 from .errors import InternalMismatch, TrivialInput
+from .quiver import cycles
 
 
 class UnknownEdge(ValueError):
@@ -203,8 +204,7 @@ def is_belt(w):
         return False
     if g.s_vertex(core[-1]) != g.t_vertex(core[0]):
         return False
-    total = sum(deg_step(g, e[t], e[t + 1]) for t in range(len(e) - 1))
-    if total != 0:
+    if degree(w) != 0:
         return False
     return deg_step(g, e[-2], e[-1]) + deg_step(g, e[0], e[1]) == 0
 
@@ -227,14 +227,11 @@ def anti_walk(g, vertex_id):
     to the half directly below the current source half until it is minimal."""
     vi = g.vid_index[vertex_id]
     edges = [g.oriented_with_target((vi, 0))]
-    limit = 2 * len(g.half_edge)
     while True:
         sh = g.s_half(edges[-1])
         if sh[1] == g.counts[sh[0]] - 1:
             break
         edges.append(g.oriented_with_target((sh[0], sh[1] + 1)))
-        if len(edges) > limit:
-            raise AssertionError("descent failed to terminate")
     return Walk._trusted(g, tuple(edges))
 
 
@@ -299,47 +296,22 @@ def faces(g):
     Non-full faces are recognized as the concatenations of anti-walks along
     an orbit of the source-of-anti-walk map; the rest are full.
     """
-    nxt = {i: _next_oriented(g, i) for i in g.oriented_edges()}
-    cycles = []
-    seen = set()
-    for start in g.oriented_edges():
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        cycles.append(tuple(cyc))
-
     aw, xi = anti_walks(g)
     orbit_faces = {}
-    done = set()
-    for v in g.vertices:
-        if v in done:
-            continue
-        orbit = [v]
-        done.add(v)
-        cur = xi[v]
-        while cur != v:
-            orbit.append(cur)
-            done.add(cur)
-            cur = xi[cur]
+    for orbit in cycles(g.vertices, xi.__getitem__):
         edges = tuple(e for u in orbit for e in aw[u].edges)
-        orbit_faces[frozenset(edges)] = (edges, tuple(orbit))
+        orbit_faces[frozenset(edges)] = (edges, orbit)
 
     out = []
     used_orbits = set()
-    for cyc in cycles:
+    for cyc in cycles(g.oriented_edges(), lambda i: _next_oriented(g, i)):
         kset = frozenset(cyc)
         canon = _canonical_rotation(cyc)
         if kset in orbit_faces:
             edges, orbit = orbit_faces[kset]
             k = cyc.index(edges[0])
             if cyc[k:] + cyc[:k] != edges:
-                raise AssertionError("anti-walk face does not match its orbit")
+                raise InternalMismatch("anti-walk face does not match its orbit")
             used_orbits.add(kset)
             is_full = False
             factors = orbit
@@ -350,7 +322,7 @@ def faces(g):
                 for t in range(len(canon)))
         out.append(Face(Walk._trusted(g, canon), is_full, factors, d))
     if used_orbits != set(orbit_faces):
-        raise AssertionError("an anti-walk orbit failed to appear as a face")
+        raise InternalMismatch("an anti-walk orbit failed to appear as a face")
     return out
 
 
@@ -414,28 +386,26 @@ def plus_ops(w):
 
 
 def enumerate_reduced_walks(g, max_len):
-    """All reduced walks with 1..max_len edges, in a deterministic order."""
+    """All reduced walks with 1..max_len edges, depth first: each walk comes
+    just before its extensions by one edge, which follow the chain order at
+    its source vertex."""
     if max_len < 1:
         raise ValueError("walk length bound must be at least 1, got %d" % max_len)
+    # the edges that may follow each oriented edge, listed against the chain
+    # order at its source so that the stack pops them in chain order
+    after = {}
+    for i in g.oriented_edges():
+        back = _inv(i)
+        after[i] = [j for j in map(g.oriented_with_target,
+                                   reversed(g.chains[g.s_half(i)[0]]))
+                    if j != back]
     out = []
-    extensions = {}
-    for vid in g.vertices:
-        vi = g.vid_index[vid]
-        extensions[vid] = [g.oriented_with_target(h) for h in g.chains[vi]]
-
-    def grow(edges):
-        out.append(Walk._trusted(g, tuple(edges)))
-        if len(edges) == max_len:
-            return
-        last = edges[-1]
-        for nxt in extensions[g.s_vertex(last)]:
-            if nxt != _inv(last):
-                edges.append(nxt)
-                grow(edges)
-                edges.pop()
-
-    for start in g.oriented_edges():
-        grow([start])
+    stack = [(i,) for i in reversed(g.oriented_edges())]
+    while stack:
+        edges = stack.pop()
+        out.append(Walk._trusted(g, edges))
+        if len(edges) < max_len:
+            stack.extend(edges + (j,) for j in after[edges[-1]])
     return out
 
 

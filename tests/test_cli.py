@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import gentlekit
+from gentlekit import walks
 from gentlekit.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -180,6 +181,10 @@ def test_brauer_command(capsys):
     ("brauer", ".brauer.json",
      '{"vertices": [{"id": "u", "halfEdges": ["a"], "multiplicity": true},'
      ' {"id": "v", "halfEdges": ["b"]}], "iota": [["a", "b"]]}'),
+    pytest.param("analyze", ".rgraph.json", "[" * 100000,
+                 id="analyze-deeply-nested"),
+    pytest.param("brauer", ".brauer.json", "[" * 100000,
+                 id="brauer-deeply-nested"),
 ])
 def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
     path = tmp_path / ("bad" + suffix)
@@ -188,6 +193,26 @@ def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cross_check_failure_exits_3(capsys, monkeypatch):
+    # a fault in faces: each anti-walk orbit is cut down to its first vertex
+    real = walks.anti_walks
+
+    def cut_orbits(g):
+        aw, _ = real(g)
+        return aw, {v: v for v in g.vertices}
+
+    monkeypatch.setattr(walks, "anti_walks", cut_orbits)
+    code, out, err = run_cli(capsys, "aag", fx("amiot1.quiver"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal mismatch: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, "selftest", "--count", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("selftest failure on instance 0 (seed 0): ")
+    assert err.count("\n") == 1
 
 
 def test_missing_file(capsys):

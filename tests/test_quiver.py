@@ -17,6 +17,7 @@ from gentlekit.quiver import (
     QuiverStructureError,
     QuiverSyntaxError,
     StringFunctionPair,
+    cycles,
     parse_quiver,
     render_quiver,
 )
@@ -147,6 +148,22 @@ def test_thread_positions_and_halves():
         for v, halves in gq.halves_at.items():
             assert len(halves) == 2, name
             assert halves == tuple(sorted(halves)), name
+
+
+def test_cycles_of_successor_maps():
+    # a permutation: each cycle starts at its first item in items order
+    perm = {1: 3, 2: 5, 3: 4, 4: 1, 5: 2}
+    assert cycles([5, 1, 2, 3, 4], perm.__getitem__) == [(5, 2), (1, 3, 4)]
+    assert cycles([1, 2, 3, 4, 5], perm.__getitem__) == [(1, 3, 4), (2, 5)]
+    # a fixed point is a cycle of length one
+    assert cycles(["a", "b"], {"a": "a", "b": "b"}.__getitem__) == [
+        ("a",), ("b",)]
+    assert cycles([], perm.__getitem__) == []
+    # not a permutation: 1 -> 2 -> 3 -> 2; following stops at the first
+    # item already seen instead of looping
+    succ = {1: 2, 2: 3, 3: 2}
+    assert cycles([1, 2, 3], succ.__getitem__) == [(1, 2, 3)]
+    assert cycles([3, 1], succ.__getitem__) == [(3, 2), (1,)]
 
 
 def _path_count_oracle(b, max_len=24):

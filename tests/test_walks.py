@@ -227,6 +227,43 @@ def test_enumerate_reduced_walks():
             enumerate_reduced_walks(gL, bound)
 
 
+def _reference_walks(g, max_len):
+    """Recursive depth-first enumeration: each walk, then its extensions by
+    one edge in the chain order at its source vertex."""
+    out = []
+
+    def grow(edges):
+        out.append(edges)
+        if len(edges) == max_len:
+            return
+        last = edges[-1]
+        for h in g.chains[g.vid_index[g.s_vertex(last)]]:
+            nxt = g.oriented_with_target(h)
+            if nxt != (last[0], -last[1]):
+                grow(edges + (nxt,))
+
+    for start in g.oriented_edges():
+        grow((start,))
+    return out
+
+
+def test_enumeration_order_matches_recursive_reference():
+    for name in FIXTURE_NAMES:
+        g = _ribbon(name)
+        got = [w.edges for w in enumerate_reduced_walks(g, 5)]
+        assert got == _reference_walks(g, 5), name
+
+
+def test_long_walk_bounds_do_not_recurse():
+    # the loop has two reduced walks of each length; a recursion one level
+    # per edge would pass Python's default limit of 1000 frames
+    gL = _ribbon("loop")
+    walks = enumerate_reduced_walks(gL, 1200)
+    assert len(walks) == 2400
+    assert max(w.length for w in walks) == 1200
+    assert enumerate_belts(gL, 1200) == []
+
+
 def test_enumerate_belts_frozen():
     g6 = _ribbon("sixvertex")
     got = sorted(w.render() for w in enumerate_belts(g6, 4))
