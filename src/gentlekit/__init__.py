@@ -3,8 +3,8 @@
 from .errors import (BoundTooLarge, InfiniteGlobalDimension, InternalMismatch,
                      TrivialInput)
 from .exact_linalg import (IntMatrix, IntPolynomial, char_poly, det,
-                           is_positive_definite, is_positive_semidefinite,
-                           qform_eval, rank_corank, root_counts, short_vectors)
+                           is_positive_semidefinite, qform_eval, rank_corank,
+                           root_counts, short_vectors)
 from .quiver import (BoundQuiver, GentleQuiver, GentlenessViolation,
                      NotAdmissible, QuiverStructureError, QuiverSyntaxError,
                      Thread, cartan_matrix, load_gentle, parse_quiver,
@@ -15,9 +15,9 @@ from .ribbon import (ForbiddenRibbon, RibbonGraph, dot_export,
                      random_marked_ribbon_graph, ribbon_canonical_form,
                      ribbon_from_json, ribbon_to_json, to_ribbon)
 from .walks import (Face, NotConcatenable, NotReduced, UnknownEdge, Walk,
-                    anti_walk, anti_walks, classify_walk, connecting_path,
-                    deg_step, degree, enumerate_belts, enumerate_reduced_walks,
-                    faces, incidence_vector, is_belt, parse_walk, plus_ops,
+                    anti_walk, classify_walk, connecting_path, deg_step,
+                    degree, enumerate_belts, enumerate_reduced_walks, faces,
+                    incidence_vector, is_belt, parse_walk, plus_ops,
                     reduced_concat, to_walk, trivial_walk)
 from .invariants import (AAGInvariant, EulerAnalysis, Fingerprint,
                          aag_invariant, compare, coxeter, euler_analysis,

@@ -66,10 +66,11 @@ class IntMatrix:
         return [list(r) for r in self.rows]
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self.ncols == other.ncols)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.rows, self.ncols))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (self.to_lists(),)
@@ -462,10 +463,3 @@ def root_counts(gram, up_to=2):
 def is_positive_semidefinite(mat):
     """Exact test for a symmetric integer matrix, by LDL^T."""
     return _ldl(mat) is not None
-
-
-def is_positive_definite(mat):
-    """Exact test for a symmetric integer matrix: semidefinite with every
-    LDL^T pivot nonzero, since det M is their product."""
-    ldl = _ldl(mat)
-    return ldl is not None and all(ldl[0])

@@ -224,15 +224,7 @@ def _orbit_pairs(gq):
 @per_quiver
 def aag_invariant(gq):
     """Face route cross-checked against the thread-orbit route."""
-    face_pairs = []
-    for f in ribbon_faces(gq):
-        n, m = f.pair
-        if f.is_full != (n == 0):
-            raise InternalMismatch("face fullness disagrees with its n value")
-        if not f.is_full and n != len(f.factors):
-            raise InternalMismatch("face n differs from its anti-walk count")
-        face_pairs.append((n, m))
-    via_faces = AAGInvariant(face_pairs)
+    via_faces = AAGInvariant(f.pair for f in ribbon_faces(gq))
     via_orbits = AAGInvariant(_orbit_pairs(gq))
     if via_faces != via_orbits:
         raise InternalMismatch("face route %s != orbit route %s"

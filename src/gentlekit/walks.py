@@ -8,9 +8,9 @@ whether the incoming half sits above or below the outgoing half in the
 vertex's chain; equal halves would mean backtracking, which is what
 "reduced" rules out.
 
-Anti-walks descend a chain step by step from a vertex's marked half-edge and
-are the building blocks of the non-full faces; faces are the orbits of the
-successor permutation on oriented edges.
+Anti-walks descend a chain step by step from a vertex's marked half-edge;
+faces are the orbits of the successor permutation on oriented edges, and a
+non-full face is the chain of anti-walks of the marked halves it reaches.
 """
 
 from .errors import InternalMismatch, TrivialInput
@@ -235,13 +235,6 @@ def anti_walk(g, vertex_id):
     return Walk._trusted(g, tuple(edges))
 
 
-def anti_walks(g):
-    """All anti-walks plus the successor map vertex -> source vertex."""
-    walks = {v: anti_walk(g, v) for v in g.vertices}
-    xi = {v: w.source_vertex for v, w in walks.items()}
-    return walks, xi
-
-
 def to_walk(g, vertex_id):
     """Inverse of the anti-walk at the vertex."""
     return anti_walk(g, vertex_id).inverse()
@@ -293,36 +286,20 @@ def _canonical_rotation(edges):
 def faces(g):
     """All faces, each oriented edge appearing in exactly one of them.
 
-    Non-full faces are recognized as the concatenations of anti-walks along
-    an orbit of the source-of-anti-walk map; the rest are full.
+    A face is non-full when it reaches a marked half (v, 0) as a target
+    half; between consecutive marked halves it runs along the anti-walk of
+    the first one, so its factors are those vertices in face order, rotated
+    to start at the one listed first in g.vertices.  The rest are full.
     """
-    aw, xi = anti_walks(g)
-    orbit_faces = {}
-    for orbit in cycles(g.vertices, xi.__getitem__):
-        edges = tuple(e for u in orbit for e in aw[u].edges)
-        orbit_faces[frozenset(edges)] = (edges, orbit)
-
     out = []
-    used_orbits = set()
     for cyc in cycles(g.oriented_edges(), lambda i: _next_oriented(g, i)):
-        kset = frozenset(cyc)
+        marked = [h[0] for h in map(g.t_half, cyc) if h[1] == 0]
+        k = marked.index(min(marked)) if marked else 0
+        factors = [g.vertices[i] for i in marked[k:] + marked[:k]]
         canon = _canonical_rotation(cyc)
-        if kset in orbit_faces:
-            edges, orbit = orbit_faces[kset]
-            k = cyc.index(edges[0])
-            if cyc[k:] + cyc[:k] != edges:
-                raise InternalMismatch("anti-walk face does not match its orbit")
-            used_orbits.add(kset)
-            is_full = False
-            factors = orbit
-        else:
-            is_full = True
-            factors = ()
         d = sum(_face_deg_step(g, canon[t], canon[(t + 1) % len(canon)])
                 for t in range(len(canon)))
-        out.append(Face(Walk._trusted(g, canon), is_full, factors, d))
-    if used_orbits != set(orbit_faces):
-        raise InternalMismatch("an anti-walk orbit failed to appear as a face")
+        out.append(Face(Walk._trusted(g, canon), not factors, factors, d))
     return out
 
 

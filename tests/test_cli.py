@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import gentlekit
-from gentlekit import walks
+from gentlekit import invariants
 from gentlekit.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -196,14 +196,9 @@ def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
 
 
 def test_cross_check_failure_exits_3(capsys, monkeypatch):
-    # a fault in faces: each anti-walk orbit is cut down to its first vertex
-    real = walks.anti_walks
-
-    def cut_orbits(g):
-        aw, _ = real(g)
-        return aw, {v: v for v in g.vertices}
-
-    monkeypatch.setattr(walks, "anti_walks", cut_orbits)
+    # a fault in the thread-orbit route of the AAG invariant: one pair lost
+    real = invariants._orbit_pairs
+    monkeypatch.setattr(invariants, "_orbit_pairs", lambda gq: real(gq)[1:])
     code, out, err = run_cli(capsys, "aag", fx("amiot1.quiver"))
     assert code == 3
     assert out == ""

@@ -18,6 +18,7 @@ from gentlekit.invariants import coxeter, euler_analysis
 from gentlekit.walks import (
     NotReduced,
     classify_walk,
+    deg_step,
     degree,
     enumerate_belts,
     enumerate_reduced_walks,
@@ -76,6 +77,37 @@ def test_one_term_complexes():
     gq, g = _pair("tree")
     x = build_string_complex(gq, 2, parse_walk(g, "1"))
     assert x.terms == ((2, 1),) and x.maps == ()
+
+
+def _alternating_term_sum(g, terms, weight=1):
+    acc = [0] * len(g.edges)
+    for deg, proj in terms:
+        acc[g.edge_index[proj]] += weight * (-1) ** deg
+    return tuple(acc)
+
+
+def test_classes_are_alternating_term_sums():
+    # the signed incidence vector is the alternating sum of the terms: of
+    # the built string complex, and of the band's terms at the cumulative
+    # junction degrees of its belt
+    for name in FIXTURE_NAMES:
+        gq, g = _pair(name)
+        for w in enumerate_reduced_walks(g, 6):
+            for m in (0, 1):
+                x = build_string_complex(gq, m, w)
+                assert k0_class(x) == _alternating_term_sum(g, x.terms), \
+                    (name, m, w.render())
+        for belt in enumerate_belts(g, 6):
+            e = belt.edges
+            cum = [0]
+            for t in range(len(e) - 2):
+                cum.append(cum[-1] + deg_step(g, e[t], e[t + 1]))
+            for m in (0, 1):
+                terms = [(m + c, oe[0]) for c, oe in zip(cum, e)]
+                for d in (1, 2):
+                    assert k0_class(BandComplex(m, belt, d)) == \
+                        _alternating_term_sum(g, terms, d), \
+                        (name, m, d, belt.render())
 
 
 def test_band_complex_frozen():

@@ -11,7 +11,6 @@ from gentlekit.exact_linalg import (
     OddValue,
     char_poly,
     det,
-    is_positive_definite,
     is_positive_semidefinite,
     qform_eval,
     rank_corank,
@@ -169,6 +168,21 @@ def test_from_columns_rejects_ragged_columns():
     assert IntMatrix.from_columns([(), ()]).shape == (0, 2)
 
 
+def test_equality_and_hash_see_the_shape():
+    # matrices with no rows differ by their column count alone
+    empty, wide = IntMatrix([]), IntMatrix([(), ()]).transpose()
+    assert wide.shape == (0, 2)
+    assert wide != empty and hash(wide) != hash(empty)
+    assert len({wide, empty}) == 2
+    # equal shapes and entries still compare and hash equal
+    assert wide == IntMatrix.from_columns([(), ()])
+    assert hash(wide) == hash(IntMatrix.from_columns([(), ()]))
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert a == a.transpose().transpose() == IntMatrix([(1, 2), (3, 4)])
+    assert hash(a) == hash(a.transpose().transpose())
+    assert IntMatrix([(), ()]) == IntMatrix([[], []]) != IntMatrix([[]])
+
+
 def _loop_product(a, b):
     out = []
     for i in range(a.nrows):
@@ -277,8 +291,9 @@ def test_qform_eval():
 
 
 def test_positive_definiteness_checks():
-    assert is_positive_definite(IntMatrix([[2, 2], [2, 4]]))
-    assert not is_positive_definite(IntMatrix([[2, 2], [2, 2]]))
+    assert is_positive_semidefinite(IntMatrix([[2, 2], [2, 4]]))
+    assert det(IntMatrix([[2, 2], [2, 4]])) != 0
+    assert det(IntMatrix([[2, 2], [2, 2]])) == 0
     assert is_positive_semidefinite(IntMatrix([[2, 2], [2, 2]]))
     assert not is_positive_semidefinite(IntMatrix([[0, 1], [1, 0]]))
     assert is_positive_semidefinite(IntMatrix([[0, 0], [0, 0]]))
@@ -313,9 +328,9 @@ def _psd_by_elimination(m):
 
 
 def test_psd_matches_fraction_pivot_oracle(quivers):
-    # the library's definiteness tests against two routes computed here:
+    # the library's semidefiniteness test against two routes computed here:
     # the sign pattern of the characteristic polynomial and a symmetric
-    # elimination over Fractions
+    # elimination over Fractions; definite means semidefinite and det != 0
     rng = random.Random(11)
     cases = []
     for n in range(9):
@@ -352,8 +367,7 @@ def test_psd_matches_fraction_pivot_oracle(quivers):
         m = IntMatrix(rows)
         psd = is_positive_semidefinite(m)
         assert psd == _psd_by_char_poly(m) == _psd_by_elimination(m), rows
-        pd = is_positive_definite(m)
-        assert pd == (psd and det(m) != 0), rows
+        pd = psd and det(m) != 0
         seen["psd" if psd else "not psd"] += 1
         seen["pd"] += pd
         seen["singular psd"] += psd and not pd

@@ -1,17 +1,24 @@
-"""Rules that keep exit code 3 meaning "a cross-check failed".
+"""Rules read off the library source with ast.
 
-cli.main turns InternalMismatch into exit 3 and lets every other
-AssertionError escape as a traceback, and python -O strips assert
-statements.  So library code raises InternalMismatch for a failed
-cross-check, and only errors.py names AssertionError, as its base class.
+Exit code 3 means "a cross-check failed": cli.main turns InternalMismatch
+into exit 3 and lets every other AssertionError escape as a traceback, and
+python -O strips assert statements.  So library code raises InternalMismatch
+for a failed cross-check, and only errors.py names AssertionError, as its
+base class.
+
+No code is kept that only its own unit test calls: every top-level function
+and class is named somewhere in the library, bench/, README.md or the
+acceptance tests.
 """
 
 import ast
 import pathlib
+import re
 
 import gentlekit
 
 SOURCES = sorted(pathlib.Path(gentlekit.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _raised_name(node):
@@ -32,3 +39,44 @@ def test_no_assert_statements_or_bare_assertion_errors():
                 found.append("%s:%d raise AssertionError"
                              % (path.name, node.lineno))
     assert found == []
+
+
+def _named(tree):
+    """Every name, attribute and imported name in the tree."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_every_definition_is_named_outside_itself():
+    # __init__.py only re-exports, so a name there does not count
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in [*sorted((ROOT / "bench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _named(ast.parse(path.read_text(), str(path)))
+    # the names in each top-level statement of each library module
+    modules = {}
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            body = ast.parse(path.read_text(), str(path)).body
+            modules[path] = [(node, _named(node)) for node in body]
+    defs, orphans = 0, []
+    for path, stmts in modules.items():
+        for node, _ in stmts:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs += 1
+            named = node.name in outside or any(
+                node.name in names for other in modules.values()
+                for n, names in other if n is not node)
+            if not named:
+                orphans.append("%s:%d %s" % (path.name, node.lineno,
+                                             node.name))
+    assert defs >= 100
+    assert orphans == []

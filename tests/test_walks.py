@@ -10,7 +10,6 @@ from gentlekit.walks import (
     UnknownEdge,
     Walk,
     anti_walk,
-    anti_walks,
     classify_walk,
     connecting_path,
     deg_step,
@@ -32,6 +31,12 @@ from conftest import FIXTURE_NAMES, load_fixture
 
 def _ribbon(name):
     return to_ribbon(load_fixture(name))
+
+
+def _anti_walks(g):
+    """Every anti-walk, and the map from a vertex to its anti-walk's source."""
+    aw = {v: anti_walk(g, v) for v in g.vertices}
+    return aw, {v: w.source_vertex for v, w in aw.items()}
 
 
 def test_parse_and_render():
@@ -101,7 +106,7 @@ def test_connecting_path_frozen():
 
 def test_anti_walks_frozen():
     g = _ribbon("amiot1")
-    aw, xi = anti_walks(g)
+    aw, xi = _anti_walks(g)
     assert aw["b1"].render() == "-2 1 -4"
     assert aw["g1"].render() == "5"
     assert aw["a1"].render() == "2 -1 3"
@@ -112,9 +117,28 @@ def test_anti_walks_frozen():
     assert to_walk(g, "a1").render() == "-3 1 -2"
 
     gx = _ribbon("twosided")
-    awx, _ = anti_walks(gx)
+    awx, _ = _anti_walks(gx)
     assert awx["a1"].render() == "-3"
     assert awx["b1"].render() == "1"
+
+
+def _assert_faces_are_anti_walk_chains(g):
+    # a non-full face runs through the anti-walks of its factors in xi order,
+    # starting at the factor listed first; a full face reaches no marked half
+    aw, xi = _anti_walks(g)
+    for f in faces(g):
+        marked = [g.t_half(oe) for oe in f.walk.edges
+                  if g.t_half(oe)[1] == 0]
+        assert f.pair[0] == len(f.factors)
+        if f.is_full:
+            assert f.factors == () and marked == []
+            continue
+        u = f.factors
+        assert u[0] == min(u, key=g.vid_index.__getitem__)
+        assert [xi[v] for v in u] == list(u[1:] + u[:1])
+        chain = tuple(oe for v in u for oe in aw[v].edges)
+        edges = f.walk.edges
+        assert any(chain == edges[k:] + edges[:k] for k in range(len(edges)))
 
 
 def test_anti_walks_partition_oriented_edges():
@@ -122,13 +146,14 @@ def test_anti_walks_partition_oriented_edges():
     # on full faces (they carry no marked half)
     for name in FIXTURE_NAMES:
         g = _ribbon(name)
-        aw, xi = anti_walks(g)
+        aw, xi = _anti_walks(g)
         used = [oe for v in g.vertices for oe in aw[v].edges]
         assert len(used) == len(set(used)), name
         on_full = [oe for f in faces(g) if f.is_full for oe in f.walk.edges]
         assert sorted(used + on_full) == sorted(g.oriented_edges()), name
         assert sorted(xi) == sorted(g.vertices), name
         assert sorted(xi.values()) == sorted(g.vertices), name
+        _assert_faces_are_anti_walk_chains(g)
 
 
 def test_faces_frozen():
@@ -305,7 +330,7 @@ def test_derived_walks_pass_outside_validation():
                     x = reduced_concat(w1, w2)
                     if not x.trivial:
                         _assert_passes_outside_check(x)
-        for w in anti_walks(g)[0].values():
+        for w in _anti_walks(g)[0].values():
             _assert_passes_outside_check(w)
         for f in faces(g):
             _assert_passes_outside_check(f.walk)
@@ -318,7 +343,7 @@ def test_random_anti_walk_partition():
     rng = random.Random(123)
     for _ in range(50):
         g = random_marked_ribbon_graph(rng, kind="any")
-        aw, _ = anti_walks(g)
+        aw, _ = _anti_walks(g)
         used = [oe for v in g.vertices for oe in aw[v].edges]
         assert len(used) == len(set(used))
         fs = faces(g)
@@ -326,3 +351,4 @@ def test_random_anti_walk_partition():
         assert sorted(used + on_full) == sorted(g.oriented_edges())
         assert sum(f.pair[0] for f in fs) == len(g.vertices)
         assert sum(f.walk.length for f in fs) == 2 * len(g.edges)
+        _assert_faces_are_anti_walk_chains(g)
