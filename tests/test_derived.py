@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gentlekit import from_ribbon, random_marked_ribbon_graph, to_ribbon
+from gentlekit import (RibbonGraph, from_ribbon, random_marked_ribbon_graph,
+                       to_ribbon)
 from gentlekit.derived import (
     BandComplex,
     ar_translate,
@@ -13,7 +14,7 @@ from gentlekit.derived import (
     root_tag,
 )
 from gentlekit.errors import BoundTooLarge
-from gentlekit.exact_linalg import qform_eval
+from gentlekit.exact_linalg import qform_eval, short_vectors
 from gentlekit.invariants import coxeter, euler_analysis
 from gentlekit.walks import (
     NotReduced,
@@ -60,6 +61,28 @@ def test_string_complex_shift_moves_degrees():
     # odd shift flips the class sign
     assert k0_class(build_string_complex(gq, 1, w)) == \
         tuple(-v for v in k0_class(x0))
+
+
+def test_walks_on_equal_graphs_build_complexes():
+    # a walk may live on any graph equal to to_ribbon(gq), but not on a
+    # differently marked graph on the same edges
+    gq, g = _pair("amiot1")
+    same = to_ribbon(load_fixture("amiot1"))
+    assert same is not g
+    for w in enumerate_reduced_walks(same, 3):
+        x = build_string_complex(gq, 0, w)
+        y = build_string_complex(gq, 0, parse_walk(g, w.render()))
+        assert (x.terms, x.maps) == (y.terms, y.maps), w.render()
+    i = g.counts.index(max(g.counts))
+    swap = {(i, 0): (i, 1), (i, 1): (i, 0)}
+    remarked = RibbonGraph(g.vertices, g.counts,
+                           [(e, swap.get(h1, h1), swap.get(h2, h2))
+                            for e, (h1, h2) in g.edge_halves.items()])
+    walks = enumerate_reduced_walks(remarked, 3)
+    assert walks
+    for w in walks:
+        with pytest.raises(ValueError):
+            build_string_complex(gq, 0, w)
 
 
 def test_trivial_walk_gives_zero_complex():
@@ -212,16 +235,42 @@ def test_perfect_classes_nonpositive():
 
 
 def test_perfect_class_values_match_root_classify():
-    for name in FIXTURE_NAMES:
-        gq = load_fixture(name)
-        pc = enumerate_perfect_classes(gq, max_len=5)
+    rng = random.Random(20261018)
+    kinds = ("any", "tree", "odd1cycle")
+    cases = [(name, load_fixture(name), 5) for name in FIXTURE_NAMES]
+    for k in range(40):
+        g = random_marked_ribbon_graph(rng, kind=kinds[k % 3], max_vertices=7)
+        cases.append(("random %d" % k, from_ribbon(g), 6))
+    for name, gq, max_len in cases:
+        pc = enumerate_perfect_classes(gq, max_len=max_len)
         assert pc.values.keys() == pc.classes.keys()
         counts = {}
         for vec, val in pc.values.items():
             rc = root_classify(gq, vec)
             assert (val, root_tag(val)) == (rc.value, rc.tag), (name, vec)
             counts[val] = counts.get(val, 0) + 1
-        assert counts == pc.value_counts
+        assert counts == pc.value_counts, name
+
+
+def _quiver_with_edges(rng, kind, n):
+    """A quiver from random_marked_ribbon_graph with exactly n vertices."""
+    while True:
+        g = random_marked_ribbon_graph(rng, kind=kind, max_vertices=n + 1)
+        if len(g.edges) == n:
+            return from_ribbon(g)
+
+
+@pytest.mark.parametrize("kind,n", [("tree", 15), ("odd1cycle", 15),
+                                    ("tree", 23), ("odd1cycle", 23)])
+def test_one_roots_are_walk_classes(kind, n):
+    # the root theorem as sets on a positive form: the classes of walks with
+    # q = 1 are exactly the vectors with q = 1
+    gq = _quiver_with_edges(random.Random("%s:%d" % (kind, n)), kind, n)
+    pc = enumerate_perfect_classes(gq, max_len=1, verify_root_counts=True)
+    assert pc.positive and pc.saturated
+    walk_roots = {vec for vec, val in pc.values.items() if val == 1}
+    short = short_vectors(euler_analysis(gq).gramProjectives, 2)
+    assert walk_roots == {y for x in short for y in (x, tuple(-v for v in x))}
 
 
 def test_bound_too_large():

@@ -8,6 +8,7 @@ from gentlekit.brauer import BrauerGraph, brauer_cartan
 from gentlekit.exact_linalg import (
     IntMatrix,
     IntPolynomial,
+    NotSquare,
     OddValue,
     char_poly,
     det,
@@ -288,6 +289,51 @@ def test_qform_eval():
     assert qform_eval(g, (0, 1)) == 2
     with pytest.raises(OddValue):
         qform_eval(IntMatrix([[1, 0], [0, 2]]), (1, 0))
+
+
+def _dense_form(rows, x):
+    """x^T G x by the full double sum over every index pair."""
+    n = len(x)
+    return sum(rows[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+
+
+def test_qform_eval_matches_dense_sum():
+    rng = random.Random(41)
+    for n in range(9):
+        for _ in range(25):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+            if rng.random() < 0.5:
+                # even diagonal: x^T G x is even at every x
+                for i in range(n):
+                    rows[i][i] = 2 * rng.randint(-2, 2)
+            g = IntMatrix(rows)
+            vectors = [(0,) * n]
+            for k in (1, 2, n):
+                x = [0] * n
+                for i in rng.sample(range(n), min(k, n)):
+                    x[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                vectors.append(tuple(x))
+            for x in vectors:
+                v = _dense_form(rows, x)
+                if v % 2:
+                    with pytest.raises(OddValue):
+                        qform_eval(g, x)
+                else:
+                    assert qform_eval(g, x) == v // 2, (rows, x)
+
+
+def test_qform_eval_rejects_bad_input():
+    with pytest.raises(OddValue):
+        qform_eval(IntMatrix([[2, 1, 0], [1, 3, 0], [0, 0, 2]]), (0, 1, 0))
+    with pytest.raises(NotSquare):
+        qform_eval(IntMatrix([[1, 0, 0], [0, 1, 0]]), (1, 0, 0))
+    with pytest.raises(ValueError):
+        qform_eval(IntMatrix([[2, 0], [0, 2]]), (1, 0, 0))
+    with pytest.raises(ValueError):
+        qform_eval(IntMatrix([[2, 0], [0, 2]]), (1,))
 
 
 def test_positive_definiteness_checks():
