@@ -60,7 +60,8 @@ def build_string_complex(gq, m, w):
     g = to_ribbon(gq)
     # junction steps are chain positions, so the walk must live on the
     # graph rebuilt from the quiver, not merely an isomorphic copy
-    if w.graph.vertices != g.vertices or w.graph.edge_halves != g.edge_halves:
+    if w.graph is not g and (w.graph.vertices != g.vertices
+                             or w.graph.edge_halves != g.edge_halves):
         raise ValueError("walk graph does not match the quiver's own graph; "
                          "take walks on to_ribbon(gq)")
     terms = [(m, w.edges[0][0])]
@@ -156,11 +157,20 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
     """All string-complex classes realized by reduced walks up to max_len.
 
     Each walk contributes its incidence vector with both overall signs
-    (the sign is the parity of the shift).  For a positive form the class
-    set saturates no later than walk length 2n + 2; verify_root_counts
-    additionally checks the saturated counts and the value distribution
-    against a short-vector enumeration of the form itself.  max_len may not
-    exceed WALK_LENGTH_LIMIT.
+    (the sign is the parity of the shift).  The walks come in preorder, so
+    the last walk one edge shorter is a walk's prefix, and its class is the
+    prefix's class with one signed entry changed.  The value of q on a new
+    class is read off its first walk w.  With B the edge-by-vertex
+    incidence matrix, B^tr inc(w) = e_target + (-1)^(len w - 1) e_source,
+    because the two terms at each junction cancel (a loop's 2 in B is one
+    count per end); euler_analysis checks gram = B B^tr, so q =
+    |B^tr inc(w)|^2 / 2 is 1 on an open walk and 2 or 0 on a closed walk
+    of odd or even length.
+
+    For a positive form the class set saturates no later than walk length
+    2n + 2; verify_root_counts additionally checks the saturated counts and
+    the value distribution against a short-vector enumeration of the form
+    itself.  max_len may not exceed WALK_LENGTH_LIMIT.
     """
     if max_len > WALK_LENGTH_LIMIT:
         raise BoundTooLarge("walk length bound %d exceeds the limit %d"
@@ -176,17 +186,27 @@ def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
     if positive and verify_root_counts:
         length = max(max_len, 2 * n + 2)
     # each walk adds its class with both signs, so a class is new exactly
-    # when its negative is; q(-v) = q(v) is evaluated once per pair
+    # when its negative is
     classes = {}
     values = {}
+    edge_index = g.edge_index
+    # prefix[k] is the class of the last walk of length k seen
+    prefix = [(0,) * n] * (length + 1)
     for w in enumerate_reduced_walks(g, length):
-        vec = incidence_vector(w)
+        k = len(w.edges)
+        base = prefix[k - 1]
+        i = edge_index[w.edges[-1][0]]
+        vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
+        prefix[k] = vec
         if vec in classes:
             continue
         neg = tuple(-v for v in vec)
         classes[vec] = (0, w)
         classes.setdefault(neg, (1, w))
-        values[vec] = values[neg] = qform_eval(gram, vec)
+        if w.closed:
+            values[vec] = values[neg] = 2 if k % 2 else 0
+        else:
+            values[vec] = values[neg] = 1
     value_counts = dict(Counter(values.values()))
 
     expected = None

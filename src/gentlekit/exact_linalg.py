@@ -245,11 +245,22 @@ def char_poly(mat):
 def qform_eval(gram, x):
     """Evaluate the half-integral form x^T * G * x / 2 for symmetric integer G.
 
-    Raises OddValue when x^T G x is odd (the form is then not Z-valued at x).
+    Only the support of x enters: after one scan of x, the sum of
+    G[i][j] x_i x_j runs over the pairs of nonzero coordinates, so its cost
+    is quadratic in the support, not in the size of G.  Raises OddValue
+    when x^T G x is odd (the form is then not Z-valued at x).
     """
     if gram.nrows != gram.ncols:
         raise NotSquare("gram matrix of shape %r" % (gram.shape,))
-    v = sum(xi * yi for xi, yi in zip(x, gram.apply(x)))
+    if len(x) != gram.ncols:
+        raise ValueError("vector length %d != %d columns" % (len(x), gram.ncols))
+    nz = [(i, xi) for i, xi in enumerate(x) if xi]
+    rows = gram.rows
+    v = 0
+    for i, xi in nz:
+        row = rows[i]
+        for j, xj in nz:
+            v += row[j] * xi * xj
     if v % 2 != 0:
         raise OddValue("form value %d is odd at %r" % (v, tuple(x)))
     return v // 2
