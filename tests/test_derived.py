@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from gentlekit import (RibbonGraph, from_ribbon, random_marked_ribbon_graph,
-                       to_ribbon)
-from gentlekit import derived
+from gentlekit import (RibbonGraph, derived, from_ribbon,
+                       random_marked_ribbon_graph, to_ribbon)
 from gentlekit.derived import (
     BandComplex,
     ar_translate,
@@ -256,23 +255,19 @@ def test_perfect_class_values_match_root_classify():
 def test_perfect_classes_need_no_form_arithmetic(monkeypatch):
     # classes extend their prefix's class and values come from the witness,
     # so the enumeration makes no incidence_vector or qform_eval call
-    expected = {}
-    for name in FIXTURE_NAMES:
+    def snapshot(name):
         pc = enumerate_perfect_classes(load_fixture(name), max_len=6)
-        expected[name] = (
-            {vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()},
-            pc.values, pc.value_counts)
+        return ({vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()},
+                pc.values, pc.value_counts)
 
     def forbidden(*args):
         raise AssertionError("called during class enumeration")
 
+    expected = {name: snapshot(name) for name in FIXTURE_NAMES}
     monkeypatch.setattr(derived, "qform_eval", forbidden)
     monkeypatch.setattr(derived, "incidence_vector", forbidden)
     for name in FIXTURE_NAMES:
-        pc = enumerate_perfect_classes(load_fixture(name), max_len=6)
-        got = ({vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()},
-               pc.values, pc.value_counts)
-        assert got == expected[name], name
+        assert snapshot(name) == expected[name], name
 
 
 def _quiver_with_edges(rng, kind, n):
