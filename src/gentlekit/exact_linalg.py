@@ -1,15 +1,14 @@
 """Exact linear algebra over the integers.
 
-Everything in here works with arbitrary-precision ints, and with Fractions
-where a division is not exact: in the LDL^T decomposition behind the
-definiteness tests and the short-vector search, and in a characteristic
-polynomial whose Hessenberg reduction meets a non-dividing pivot.  No
-floats, ever: ranks and determinants come from fraction-free elimination,
-and every result is exact.
+Everything in here works with arbitrary-precision ints.  No floats, ever:
+ranks and determinants come from fraction-free elimination, and so does
+the LDL^T decomposition behind the semidefiniteness test and the
+short-vector search, which returns integer rows with integer weights.
+The one place a Fraction can appear is a characteristic polynomial whose
+Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
 
 import math
-from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import InternalMismatch
@@ -185,6 +184,7 @@ def char_poly(mat):
     leading blocks of H.  The coefficients are integers, which is checked
     rather than assumed.
     """
+    from fractions import Fraction
     if mat.nrows != mat.ncols:
         raise NotSquare("characteristic polynomial of a %r matrix" % (mat.shape,))
     n = mat.nrows
@@ -382,55 +382,59 @@ class IntPolynomial:
 
 
 def _ldl(mat):
-    """Exact M = U^T diag(d) U for a symmetric M, as (d, u) with u[k][j] the
-    entries of the unit upper triangular U; None when M is not positive
+    """Fraction-free LDL^T of a symmetric M: integer pairs (a_k, w_k) with
+    x^T M x = sum_k (a_k . x)^2 / w_k; None when M is not positive
     semidefinite.  Raises ValueError when M is not symmetric.
 
-    A zero pivot is allowed only on an all-zero row of the Schur complement:
-    an entry b != 0 beside it makes the minor [[0, b], [b, c]] negative.
-    Entries stay ints while the pivot divides and become Fractions if not.
+    Symmetric Bareiss elimination on the upper triangle: with pivot p and
+    prev the pivot before it (1 at first), an entry becomes
+    (p * a_ij - a_ki * a_kj) // prev, exact by Sylvester's identity.  Row k,
+    zero left of column k, is a_k, and w_k = p * prev.  A zero pivot is
+    allowed only on an all-zero row of the Schur complement (an entry b != 0
+    beside it makes the minor [[0, b], [b, c]] negative); that row adds
+    nothing and is left out, so there is one pair per unit of rank.
     """
     if not mat.is_symmetric():
         raise ValueError("definiteness needs a symmetric matrix")
-    n = mat.nrows
-    a = [list(r) for r in mat.rows]
-    d, u = [], []
+    a = [[0] * k + list(r[k:]) for k, r in enumerate(mat.rows)]
+    out = []
+    prev = 1
     for k, row in enumerate(a):
         p = row[k]
         if p < 0 or (p == 0 and any(row[k + 1:])):
             return None
-        uk = [0] * n
         if p:
-            for j in range(k + 1, n):
-                v = row[j]
-                uk[j] = v // p if v % p == 0 else Fraction(v, p)
-            for i in range(k + 1, n):
+            for i in range(k + 1, len(a)):
                 f = row[i]
-                if f:
-                    a[i][i:] = [x - f * y for x, y in zip(a[i][i:], uk[i:])]
-        d.append(p)
-        u.append(uk)
-    return d, u
+                a[i][i:] = [(p * x - f * y) // prev
+                            for x, y in zip(a[i][i:], row[i:])]
+            out.append((row, p * prev))
+            prev = p
+    return out
 
 
 def short_vectors(gram, bound):
-    """All integer vectors x != 0 with x^T G x <= bound, for G positive definite.
+    """All integer vectors x != 0 with x^T G x <= bound, for G positive
+    definite; [] when the bound is negative.
 
-    Exact rational LDL^T decomposition followed by the usual nested interval
-    enumeration.  Raises ValueError when G is not symmetric and positive
-    definite.  Returns vectors as tuples; for every x only one of x, -x is
-    listed.
+    Fincke-Pohst enumeration in integers (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.7.3) on the rows of _ldl.  Raises ValueError
+    when G is not symmetric and positive definite.  Returns vectors as
+    tuples; for every x only one of x, -x is listed.
     """
     if gram.nrows != gram.ncols:
         raise NotSquare("gram matrix of shape %r" % (gram.shape,))
     n = gram.nrows
     ldl = _ldl(gram)
-    if ldl is None or not all(ldl[0]):
+    if ldl is None or len(ldl) < n:
         raise ValueError("matrix is not positive definite")
-    d, u = ldl
-
-    # q(x) = sum_i d[i] * (x_i + sum_{j>i} u[i][j] x_j)^2, scanned from the
-    # last coordinate inward.
+    if bound < 0:
+        return []
+    # m * x^T G x = sum_i c_i * (p_i x_i + s_i)^2 with m = lcm(w), c_i = m // w_i,
+    # pivot p_i, s_i = sum_{j>i} a_ij x_j; x is fixed from the last entry inward
+    m = math.lcm(*(w for _, w in ldl))
+    levels = [(m // w, row[i], [(j, v) for j, v in enumerate(row) if j > i and v])
+              for i, (row, w) in enumerate(ldl)]
     out = []
     x = [0] * n
 
@@ -441,21 +445,16 @@ def short_vectors(gram, bound):
             if next((v for v in reversed(x) if v), 0) < 0:
                 out.append(tuple(x))
             return
-        center = -sum(u[i][j] * x[j] for j in range(i + 1, n))
-        # integers t with d[i]*(t - center)^2 <= remaining
-        t = math.floor(center)
-        lo = t
-        while d[i] * (lo - center) ** 2 <= remaining:
-            lo -= 1
-        hi = t + 1
-        while d[i] * (hi - center) ** 2 <= remaining:
-            hi += 1
-        for v in range(lo + 1, hi):
-            x[i] = v
-            scan(i - 1, remaining - d[i] * (v - center) ** 2)
+        c, p, tail = levels[i]
+        s = sum(v * x[j] for j, v in tail)
+        # integers t with c * (p*t + s)^2 <= remaining, i.e. |p*t + s| <= r
+        r = math.isqrt(remaining // c)
+        for t in range(-((r + s) // p), (r - s) // p + 1):
+            x[i] = t
+            scan(i - 1, remaining - c * (p * t + s) ** 2)
         x[i] = 0
 
-    scan(n - 1, bound)
+    scan(n - 1, m * math.floor(bound))
     return out
 
 

@@ -40,7 +40,10 @@ class Walk:
 
     def __init__(self, graph, edges, base=None):
         self.graph = graph
-        self.edges = tuple(edges)
+        self.edges = tuple((e, sign) for e, sign in edges)
+        for e, sign in self.edges:
+            if e not in graph.edge_index or sign not in (1, -1):
+                raise UnknownEdge("no oriented edge %r" % ((e, sign),))
         if self.edges:
             self.base = None
             for t in range(len(self.edges) - 1):

@@ -279,7 +279,9 @@ def _quiver_with_edges(rng, kind, n):
 
 
 @pytest.mark.parametrize("kind,n", [("tree", 15), ("odd1cycle", 15),
-                                    ("tree", 23), ("odd1cycle", 23)])
+                                    ("tree", 23), ("odd1cycle", 23),
+                                    ("tree", 40), ("odd1cycle", 40),
+                                    ("tree", 60), ("odd1cycle", 60)])
 def test_one_roots_are_walk_classes(kind, n):
     # the root theorem as sets on a positive form: the classes of walks with
     # q = 1 are exactly the vectors with q = 1

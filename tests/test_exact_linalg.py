@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -464,6 +465,73 @@ def test_short_vectors_and_root_counts():
     assert root_counts(c2, up_to=2) == {1: 4, 2: 4}
     with pytest.raises(ValueError):
         short_vectors(IntMatrix([[2, 2], [2, 2]]), 2)
+
+
+def _fraction_short_vectors(rows, bound):
+    """short_vectors' list by a scan over Fractions: Gaussian elimination
+    gives q(x) = sum_i d_i * (x_i - centre_i)^2, and each level tries every
+    integer within isqrt(remaining / d_i) + 1 of its centre.  Same order as
+    the library: ascending x_i, the last coordinate outermost."""
+    n = len(rows)
+    a = [[Fraction(v) for v in r] for r in rows]
+    d, u = [], []
+    for k in range(n):
+        d.append(a[k][k])
+        u.append([a[k][j] / a[k][k] for j in range(n)])
+        for i in range(k + 1, n):
+            for j in range(n):
+                a[i][j] -= u[k][i] * a[k][j]
+    out = []
+
+    def scan(i, x, remaining):
+        if i < 0:
+            last = next((v for v in reversed(x) if v), 0)
+            if last < 0:
+                out.append(tuple(x))
+            return
+        centre = -sum(u[i][j] * x[j] for j in range(i + 1, n))
+        reach = math.isqrt(math.floor(remaining / d[i])) + 1
+        for t in range(math.floor(centre) - reach, math.ceil(centre) + reach + 1):
+            left = remaining - d[i] * (t - centre) ** 2
+            if left >= 0:
+                x[i] = t
+                scan(i - 1, x, left)
+        x[i] = 0
+
+    scan(n - 1, [0] * n, Fraction(bound))
+    return out
+
+
+def test_short_vectors_match_fraction_scan():
+    # random B B^tr: full rank ones are positive definite, the rest must
+    # raise; lists are compared with their order, which is the same at
+    # every bound, so the scan runs once at the largest
+    rng = random.Random(29)
+    seen = {"definite": 0, "singular": 0, "vectors": 0}
+    for n in range(7):
+        for _ in range(30 if n else 1):
+            k = rng.randint(max(n - 1, 0), n + 2)
+            b = IntMatrix([[rng.randint(-2, 2) for _ in range(k)]
+                           for _ in range(n)])
+            g = b * b.transpose()
+            if det(g) == 0:
+                seen["singular"] += 1
+                with pytest.raises(ValueError, match="not positive definite"):
+                    short_vectors(g, 2)
+                continue
+            seen["definite"] += 1
+            scanned = _fraction_short_vectors(g.rows, 7)
+            for bound in (0, 1, 2, 4, 7):
+                got = short_vectors(g, bound)
+                assert got == [x for x in scanned
+                               if _dense_form(g.rows, x) <= bound], (g, bound)
+                seen["vectors"] += len(got)
+            # a negative bound admits no vector, and one that is not an
+            # int acts as its floor
+            assert short_vectors(g, -1) == short_vectors(g, -0.5) == []
+            assert short_vectors(g, Fraction(15, 2)) == got
+    assert seen["definite"] >= 100 and seen["singular"] >= 20, seen
+    assert seen["vectors"] >= 1000, seen
 
 
 def test_root_counts_against_naive_box():

@@ -6,6 +6,9 @@ python -O strips assert statements.  So library code raises InternalMismatch
 for a failed cross-check, and only errors.py names AssertionError, as its
 base class.
 
+The library computes in ints: Fraction is named only inside
+exact_linalg.char_poly, for a Hessenberg pivot that does not divide.
+
 No code is kept that only its own unit test calls: every top-level function
 and class is named somewhere in the library, bench/, README.md or the
 acceptance tests.
@@ -80,3 +83,34 @@ def test_every_definition_is_named_outside_itself():
                                              node.name))
     assert defs >= 100
     assert orphans == []
+
+
+def _fraction_nodes(tree):
+    """The nodes that name Fraction or import from the fractions module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "Fraction"
+                or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                or isinstance(node, ast.alias)
+                and node.name.rpartition(".")[2] in ("Fraction", "fractions")
+                or isinstance(node, ast.ImportFrom)
+                and node.module == "fractions"):
+            yield node
+
+
+def test_fraction_only_in_char_poly():
+    outside, inside = [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in tree.body:
+            if (path.name == "exact_linalg.py"
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name == "char_poly"):
+                allowed = set(map(id, _fraction_nodes(node)))
+        for node in _fraction_nodes(tree):
+            if id(node) in allowed:
+                inside += 1
+            else:
+                outside.append("%s:%d" % (path.name, node.lineno))
+    assert outside == []
+    assert inside >= 1

@@ -54,6 +54,22 @@ def test_parse_and_render():
         parse_walk(g, "2 bogus")
 
 
+def test_walk_rejects_unknown_oriented_edges():
+    # the checked constructor validates every edge id and sign before it
+    # looks the edges up
+    g = _ribbon("sixvertex")
+    for edges in ([(1, 0)], [(1, 5)], [(1, -2)], [(99, 1)], [(0, 1)],
+                  [(2, 1), (-3, 1)], [(2, 1), (3, 0)]):
+        with pytest.raises(UnknownEdge):
+            Walk(g, edges)
+    assert Walk(g, [(1, 1)]).render() == "1"
+    assert Walk(g, [(1, -1)]).render() == "-1"
+    # edges given as lists are stored as tuples, like parsed ones
+    w = Walk(g, [[2, 1], [3, -1]])
+    assert w == parse_walk(g, "2 -3") and hash(w) == hash(parse_walk(g, "2 -3"))
+    assert Walk(g, parse_walk(g, "2 -3 -5").edges).render() == "2 -3 -5"
+
+
 def test_trivial_walks():
     g = _ribbon("tree")
     w = trivial_walk(g, "a1")
