@@ -11,7 +11,7 @@ equivalence are computed and compared here.
 import json
 
 from .errors import InternalMismatch
-from .exact_linalg import IntMatrix, is_positive_semidefinite, rank_corank
+from .exact_linalg import IntMatrix, rank_corank
 from .ribbon import incidence_matrix, is_bipartite, ribbon_from_json
 
 
@@ -81,10 +81,9 @@ def brauer_classify(bg):
     the two readings must agree for every multiplicity assignment.  At
     cycle rank 1 the one cycle is odd exactly when the graph is not
     bipartite, a loop being a cycle of length 1."""
-    cb = brauer_cartan(bg)
-    if not is_positive_semidefinite(cb):
-        raise InternalMismatch("Brauer Cartan matrix is not semidefinite")
-    _, corank = rank_corank(cb)
+    # C = inc * D * inc^tr with D >= 0 is semidefinite, x^tr C x being
+    # sum_v m_v ((inc^tr x)_v)^2, so it is definite exactly at corank 0
+    _, corank = rank_corank(brauer_cartan(bg))
     definite = corank == 0
 
     cyc_rank = len(bg.graph.edges) - len(bg.graph.vertices) + 1

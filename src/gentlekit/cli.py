@@ -77,7 +77,7 @@ def _fingerprint_json(fp):
 
 def _analysis_payload(gq):
     ea = euler_analysis(gq)
-    psi, poly, _ = coxeter(gq)
+    psi, poly = coxeter(gq)
     return {
         "eulerAnalysis": _euler_json(ea),
         "aag": aag_invariant(gq).as_sorted_list(),
@@ -90,7 +90,7 @@ def _analysis_payload(gq):
 def _analysis_text(gq):
     g = to_ribbon(gq)
     ea = euler_analysis(gq)
-    _, poly, _ = coxeter(gq)
+    _, poly = coxeter(gq)
     lines = []
     lines.append("quiver: %d vertices, %d arrows, %d relations"
                  % (len(gq.vertices), len(gq.arrows), len(gq.relations)))
@@ -239,7 +239,7 @@ def cmd_aag(args):
 
 def cmd_coxeter(args):
     gq = _load_quiver(args.path)
-    psi, poly, from_aag = coxeter(gq)
+    psi, poly = coxeter(gq)
     if args.format == "json":
         sys.stdout.write(_dump_json({"matrix": _matrix_json(psi),
                                      "poly": _poly_json(poly),
@@ -275,7 +275,7 @@ def _check_one(gq):
 
     c = euler_analysis(gq).gramProjectives
     aag_invariant(gq)
-    psi, _, _ = coxeter(gq)
+    psi, _ = coxeter(gq)
     g = to_ribbon(gq)
     if quiver_canonical_form(from_ribbon(g)) != quiver_canonical_form(gq):
         raise InternalMismatch("quiver -> graph -> quiver changed the quiver")

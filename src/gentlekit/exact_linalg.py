@@ -2,8 +2,8 @@
 
 Everything in here works with arbitrary-precision ints.  No floats, ever:
 ranks and determinants come from fraction-free elimination, and so does
-the LDL^T decomposition behind the semidefiniteness test and the
-short-vector search, which returns integer rows with integer weights.
+the LDL^T decomposition behind the short-vector search, which yields
+integer rows with integer weights.
 The one place a Fraction can appear is a characteristic polynomial whose
 Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
@@ -335,29 +335,6 @@ class IntPolynomial:
             n >>= 1
         return out
 
-    def divexact(self, other):
-        """Exact polynomial division; raises if a nonzero remainder appears."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            raise ValueError("inexact polynomial division (degree)")
-        quot = [0] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            top = rem[k + len(other.coeffs) - 1]
-            if top % lead != 0:
-                raise ValueError("inexact polynomial division (leading term)")
-            q = top // lead
-            quot[k] = q
-            if q:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        if any(rem):
-            raise ValueError("inexact polynomial division (remainder)")
-        return IntPolynomial(quot)
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -381,60 +358,46 @@ class IntPolynomial:
         return "IntPolynomial(%r)" % (list(self.coeffs),)
 
 
-def _ldl(mat):
-    """Fraction-free LDL^T of a symmetric M: integer pairs (a_k, w_k) with
-    x^T M x = sum_k (a_k . x)^2 / w_k; None when M is not positive
-    semidefinite.  Raises ValueError when M is not symmetric.
-
-    Symmetric Bareiss elimination on the upper triangle: with pivot p and
-    prev the pivot before it (1 at first), an entry becomes
-    (p * a_ij - a_ki * a_kj) // prev, exact by Sylvester's identity.  Row k,
-    zero left of column k, is a_k, and w_k = p * prev.  A zero pivot is
-    allowed only on an all-zero row of the Schur complement (an entry b != 0
-    beside it makes the minor [[0, b], [b, c]] negative); that row adds
-    nothing and is left out, so there is one pair per unit of rank.
-    """
-    if not mat.is_symmetric():
-        raise ValueError("definiteness needs a symmetric matrix")
-    a = [[0] * k + list(r[k:]) for k, r in enumerate(mat.rows)]
-    out = []
-    prev = 1
-    for k, row in enumerate(a):
-        p = row[k]
-        if p < 0 or (p == 0 and any(row[k + 1:])):
-            return None
-        if p:
-            for i in range(k + 1, len(a)):
-                f = row[i]
-                a[i][i:] = [(p * x - f * y) // prev
-                            for x, y in zip(a[i][i:], row[i:])]
-            out.append((row, p * prev))
-            prev = p
-    return out
-
-
 def short_vectors(gram, bound):
     """All integer vectors x != 0 with x^T G x <= bound, for G positive
     definite; [] when the bound is negative.
 
     Fincke-Pohst enumeration in integers (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.7.3) on the rows of _ldl.  Raises ValueError
-    when G is not symmetric and positive definite.  Returns vectors as
-    tuples; for every x only one of x, -x is listed.
+    Algebraic Number Theory, 2.7.3) on a fraction-free LDL^T of G.  Raises
+    ValueError when G is not symmetric and positive definite.  Returns
+    vectors as tuples; for every x only one of x, -x is listed.
     """
     if gram.nrows != gram.ncols:
         raise NotSquare("gram matrix of shape %r" % (gram.shape,))
+    if not gram.is_symmetric():
+        raise ValueError("definiteness needs a symmetric matrix")
     n = gram.nrows
-    ldl = _ldl(gram)
-    if ldl is None or len(ldl) < n:
-        raise ValueError("matrix is not positive definite")
+    # symmetric Bareiss on the upper triangle: with pivot p and prev the pivot
+    # before it (1 at first), an entry becomes (p * a_ij - a_ki * a_kj) // prev,
+    # exact by Sylvester's identity.  The pivots are the leading principal
+    # minors, all positive exactly when G is definite (Sylvester's criterion).
+    # Row k, zero left of column k, is a_k; with w_k = p_k * prev,
+    # x^T G x = sum_k (a_k . x)^2 / w_k
+    a = [[0] * k + list(r[k:]) for k, r in enumerate(gram.rows)]
+    weights = []
+    prev = 1
+    for k, row in enumerate(a):
+        p = row[k]
+        if p <= 0:
+            raise ValueError("matrix is not positive definite")
+        for i in range(k + 1, n):
+            f = row[i]
+            a[i][i:] = [(p * x - f * y) // prev
+                        for x, y in zip(a[i][i:], row[i:])]
+        weights.append(p * prev)
+        prev = p
     if bound < 0:
         return []
     # m * x^T G x = sum_i c_i * (p_i x_i + s_i)^2 with m = lcm(w), c_i = m // w_i,
     # pivot p_i, s_i = sum_{j>i} a_ij x_j; x is fixed from the last entry inward
-    m = math.lcm(*(w for _, w in ldl))
+    m = math.lcm(*weights)
     levels = [(m // w, row[i], [(j, v) for j, v in enumerate(row) if j > i and v])
-              for i, (row, w) in enumerate(ldl)]
+              for i, (row, w) in enumerate(zip(a, weights))]
     out = []
     x = [0] * n
 
@@ -468,8 +431,3 @@ def root_counts(gram, up_to=2):
     for x in short_vectors(gram, 2 * up_to):
         counts[qform_eval(gram, x)] += 2
     return counts
-
-
-def is_positive_semidefinite(mat):
-    """Exact test for a symmetric integer matrix, by LDL^T."""
-    return _ldl(mat) is not None

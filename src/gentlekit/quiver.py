@@ -100,6 +100,9 @@ class BoundQuiver:
             raise QuiverStructureError("duplicate vertex id")
         if not self.vertices:
             raise QuiverStructureError("no vertices declared")
+        if min(self.vertices) < 1:
+            raise QuiverStructureError("vertex id %d is not a positive integer"
+                                       % min(self.vertices))
         if not self.arrows:
             raise QuiverStructureError("a bound quiver needs at least one arrow")
         vset = set(self.vertices)

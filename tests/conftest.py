@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from gentlekit import from_ribbon, load_gentle, random_marked_ribbon_graph, to_ribbon
+from gentlekit import (from_ribbon, load_gentle, random_marked_ribbon_graph,
+                       short_vectors, to_ribbon)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -21,6 +22,16 @@ def fixture_text(name):
 
 def load_fixture(name):
     return load_gentle(fixture_text(name))
+
+
+def definite(m):
+    """Is the symmetric integer matrix m positive definite?  short_vectors
+    raises ValueError exactly when it is not."""
+    try:
+        short_vectors(m, 0)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="session")

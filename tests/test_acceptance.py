@@ -74,7 +74,7 @@ def test_criterion_01_reference_triple_of_derived_invariants(quivers):
     for name, (nabla, crk, dyn) in expect.items():
         gq = quivers[name]
         assert str(aag_invariant(gq)) == "{(4,6)}", name
-        _, poly, _ = coxeter(gq)
+        _, poly = coxeter(gq)
         assert poly.coeffs == (1, -1, 0, 0, -1, 1), name
         assert str(poly) == "z^5 - z^4 - z + 1", name
         ea = euler_analysis(gq)
@@ -115,8 +115,7 @@ def test_criterion_03_corank_counts_edges_vertices_bipartiteness(
 def test_criterion_04_coxeter_polynomial_equals_face_product(
         quivers, random_pool):
     for gq in _all_instances(quivers, random_pool):
-        psi, poly, from_pairs = coxeter(gq)
-        assert poly == from_pairs
+        psi, poly = coxeter(gq)
         assert char_poly(psi) == poly
         # rebuild the face product from scratch as an oracle
         prod = IntPolynomial.const(1)
@@ -129,9 +128,10 @@ def test_criterion_04_coxeter_polynomial_equals_face_product(
             prod = prod * factor
         e = len(gq.arrows) - len(gq.vertices)
         z1 = IntPolynomial([-1, 1])
-        oracle = prod * z1 ** e if e >= 0 else prod.divexact(z1 ** (-e))
-        assert poly == oracle
-    _, poly, _ = coxeter(quivers["nonpalin"])
+        # poly = prod * (z-1)^e, with (z-1)^(-e) moved to the left for e < 0;
+        # multiplying by (z-1)^k is injective on Z[z]
+        assert poly * z1 ** max(-e, 0) == prod * z1 ** max(e, 0)
+    _, poly = coxeter(quivers["nonpalin"])
     assert str(poly) == "z^2 - 1"
 
 
@@ -221,7 +221,7 @@ def test_criterion_07_translation_triangles(quivers, random_pool):
 
     checked = 0
     for g, gq in random_pool:
-        psi, _, _ = coxeter(gq)
+        psi, _ = coxeter(gq)
         g2 = to_ribbon(gq)
         for w in enumerate_reduced_walks(g2, 3):
             tri = ar_translate(gq, 0, w)

@@ -6,8 +6,9 @@ import sys
 import pytest
 
 import gentlekit
-from gentlekit import invariants
+from gentlekit import from_ribbon, invariants
 from gentlekit.cli import build_parser, main
+from gentlekit.ribbon import RibbonGraph
 
 from conftest import FIXTURES
 
@@ -208,6 +209,25 @@ def test_cross_check_failure_exits_3(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("selftest failure on instance 0 (seed 0): ")
     assert err.count("\n") == 1
+
+
+def test_vertex_id_zero_is_input_error(capsys, tmp_path):
+    # edge 0 would render as "0" in both orientations of a printed walk,
+    # which no --walk argument can name, so vertex id 0 is refused on input
+    path = tmp_path / "zero.quiver"
+    path.write_text("vertices 0 1 2; arrow a: 0 -> 1; arrow b: 1 -> 2; "
+                    "rel b.a;\n")
+    for command in ("analyze", "roots"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "vertex id 0" in err
+    g = RibbonGraph(["u", "v", "w"], [1, 2, 1],
+                    [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))],
+                    min_degree_two=False)
+    with pytest.raises(ValueError, match="vertex id 0"):
+        from_ribbon(g)
 
 
 def test_missing_file(capsys):

@@ -328,7 +328,7 @@ def test_ar_k0_identities():
     # carries the end class back to the start class
     for name in FIXTURE_NAMES:
         gq, g = _pair(name)
-        psi, _, _ = coxeter(gq)
+        psi, _ = coxeter(gq)
         for w in enumerate_reduced_walks(g, 3):
             tri = ar_translate(gq, 0, w)
             s = k0_class(tri.start)
@@ -346,7 +346,7 @@ def test_ar_random_psi_identity():
     while checked < 60:
         gq = from_ribbon(random_marked_ribbon_graph(rng, kind="any"))
         g = to_ribbon(gq)
-        psi, _, _ = coxeter(gq)
+        psi, _ = coxeter(gq)
         for w in enumerate_reduced_walks(g, 2):
             tri = ar_translate(gq, 0, w)
             assert psi.apply(k0_class(tri.end)) == k0_class(tri.start)

@@ -13,13 +13,14 @@ from gentlekit.exact_linalg import (
     OddValue,
     char_poly,
     det,
-    is_positive_semidefinite,
     qform_eval,
     rank_corank,
     root_counts,
     short_vectors,
 )
 from gentlekit.invariants import euler_analysis
+
+from conftest import definite
 
 
 def test_rank_corank_basics():
@@ -332,14 +333,17 @@ def test_qform_eval_matches_dense_sum():
 
 
 def test_positive_definiteness_checks():
-    assert is_positive_semidefinite(IntMatrix([[2, 2], [2, 4]]))
+    assert definite(IntMatrix([[2, 2], [2, 4]]))
     assert det(IntMatrix([[2, 2], [2, 4]])) != 0
     assert det(IntMatrix([[2, 2], [2, 2]])) == 0
-    assert is_positive_semidefinite(IntMatrix([[2, 2], [2, 2]]))
-    assert not is_positive_semidefinite(IntMatrix([[0, 1], [1, 0]]))
-    assert is_positive_semidefinite(IntMatrix([[0, 0], [0, 0]]))
-    with pytest.raises(ValueError):
-        is_positive_semidefinite(IntMatrix([[1, 2], [3, 4]]))
+    assert not definite(IntMatrix([[2, 2], [2, 2]]))
+    assert not definite(IntMatrix([[0, 1], [1, 0]]))
+    assert not definite(IntMatrix([[0, 0], [0, 0]]))
+    assert not definite(IntMatrix([[2, 0], [0, -1]]))
+    assert definite(IntMatrix([]))
+    # the upper triangle of this one is definite; the symmetry check rejects it
+    with pytest.raises(ValueError, match="symmetric"):
+        short_vectors(IntMatrix([[2, 1], [0, 2]]), 0)
 
 
 def _psd_by_char_poly(m):
@@ -369,9 +373,10 @@ def _psd_by_elimination(m):
 
 
 def test_psd_matches_fraction_pivot_oracle(quivers):
-    # the library's semidefiniteness test against two routes computed here:
-    # the sign pattern of the characteristic polynomial and a symmetric
-    # elimination over Fractions; definite means semidefinite and det != 0
+    # the library's definiteness test (short_vectors raising or not) against
+    # two semidefiniteness routes computed here, the sign pattern of the
+    # characteristic polynomial and a symmetric elimination over Fractions,
+    # together with det != 0
     rng = random.Random(11)
     cases = []
     for n in range(9):
@@ -403,15 +408,16 @@ def test_psd_matches_fraction_pivot_oracle(quivers):
             mult = {v: rng.randint(1, 4) for v in g.vertices}
             cases.append(brauer_cartan(BrauerGraph(g, mult)).to_lists())
 
-    seen = {"psd": 0, "not psd": 0, "pd": 0, "singular psd": 0}
+    seen = {"pd": 0, "not pd": 0, "singular psd": 0, "not psd": 0}
     for rows in cases:
         m = IntMatrix(rows)
-        psd = is_positive_semidefinite(m)
-        assert psd == _psd_by_char_poly(m) == _psd_by_elimination(m), rows
-        pd = psd and det(m) != 0
-        seen["psd" if psd else "not psd"] += 1
-        seen["pd"] += pd
+        psd = _psd_by_char_poly(m)
+        assert psd == _psd_by_elimination(m), rows
+        pd = definite(m)
+        assert pd == (psd and det(m) != 0), rows
+        seen["pd" if pd else "not pd"] += 1
         seen["singular psd"] += psd and not pd
+        seen["not psd"] += not psd
     assert min(seen.values()) >= 40, seen
 
     # short_vectors on the fixtures' positive Euler forms, frozen
@@ -441,9 +447,6 @@ def test_polynomial_arithmetic():
     p = (z - one) * (z + one)
     assert p.coeffs == (-1, 0, 1)
     assert ((z + one) ** 2).coeffs == (1, 2, 1)
-    assert p.divexact(z - one).coeffs == (1, 1)
-    with pytest.raises(ValueError):
-        p.divexact(z - IntPolynomial.const(2))
     assert str((z + one) ** 2) == "z^2 + 2*z + 1"
     assert str(p) == "z^2 - 1"
     # the zero polynomial has an empty coefficient tuple
