@@ -3,7 +3,7 @@
 from .errors import (BoundTooLarge, InfiniteGlobalDimension, InternalMismatch,
                      TrivialInput)
 from .exact_linalg import (IntMatrix, IntPolynomial, char_poly, det,
-                           qform_eval, rank_corank, root_counts, short_vectors)
+                           qform_eval, rank_corank, short_vectors)
 from .quiver import (BoundQuiver, GentleQuiver, GentlenessViolation,
                      NotAdmissible, QuiverStructureError, QuiverSyntaxError,
                      Thread, cartan_matrix, load_gentle, parse_quiver,

@@ -207,8 +207,7 @@ def cmd_roots(args):
     gq = _load_quiver(args.path)
     res = enumerate_perfect_classes(gq, max_len=args.max_len)
     rows = []
-    for vec in res.sorted_classes():
-        m, w = res.classes[vec]
+    for vec, (m, w) in sorted(res.classes.items()):
         q = res.values[vec]
         rows.append({"class": list(vec), "q": q, "tag": root_tag(q),
                      "witnessShift": m, "witnessWalk": w.render()})

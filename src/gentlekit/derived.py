@@ -13,11 +13,11 @@ almost split triangles are read off the walk extensions of plus_ops.
 from collections import Counter
 
 from .errors import BoundTooLarge, InternalMismatch
-from .exact_linalg import qform_eval, root_counts
+from .exact_linalg import qform_eval, short_vectors
 from .invariants import euler_analysis
 from .ribbon import to_ribbon
-from .walks import (Walk, classify_walk, connecting_path,
-                    enumerate_reduced_walks, incidence_vector, plus_ops)
+from .walks import (Walk, _successors, classify_walk, connecting_path,
+                    incidence_vector, plus_ops)
 
 
 class StringComplex:
@@ -83,11 +83,11 @@ def k0_class(x):
     in degree congruent to m + t, since every junction shifts the degree by
     one, so this is the alternating sum of the terms."""
     if isinstance(x, StringComplex):
-        sign = (-1) ** x.m
+        sign = -1 if x.m % 2 else 1
         return tuple(sign * v for v in incidence_vector(x.walk))
     if isinstance(x, BandComplex):
         core = Walk._trusted(x.belt.graph, x.belt.edges[:-1])
-        sign = (-1) ** x.m
+        sign = -1 if x.m % 2 else 1
         return tuple(sign * x.d * v for v in incidence_vector(core))
     raise TypeError("expected a string or band complex")
 
@@ -133,109 +133,115 @@ def root_classify(gq, x):
 
 
 class PerfectClasses:
-    __slots__ = ("classes", "positive", "saturated", "expected_nonzero",
-                 "value_counts", "values")
+    __slots__ = ("classes", "positive", "expected_nonzero", "value_counts",
+                 "values")
 
-    def __init__(self, classes, positive, saturated, expected_nonzero,
-                 value_counts, values):
+    def __init__(self, classes, positive, expected_nonzero, value_counts,
+                 values):
         self.classes = classes
         self.positive = positive
-        self.saturated = saturated
         self.expected_nonzero = expected_nonzero
         self.value_counts = value_counts
         self.values = values         # class -> value of the Euler form q
-
-    def sorted_classes(self):
-        return sorted(self.classes)
 
 
 # walk counts grow exponentially with the length bound
 WALK_LENGTH_LIMIT = 10
 
 
-def enumerate_perfect_classes(gq, max_len=10, verify_root_counts=False):
-    """All string-complex classes realized by reduced walks up to max_len.
+def enumerate_perfect_classes(gq, max_len=10):
+    """The string-complex classes of reduced walks up to max_len, or every
+    class when max_len is None, with both overall signs (the sign is the
+    parity of the shift).  A class is witnessed by the first walk to reach
+    it in the preorder of walks.enumerate_reduced_walks.
 
-    Each walk contributes its incidence vector with both overall signs
-    (the sign is the parity of the shift).  The walks come in preorder, so
-    the last walk one edge shorter is a walk's prefix, and its class is the
-    prefix's class with one signed entry changed.  The value of q on a new
-    class is read off its first walk w.  With B the edge-by-vertex
+    A walk's class is its prefix's class with one signed entry changed, and
+    q on a new class is read off its witness w.  With B the edge-by-vertex
     incidence matrix, B^tr inc(w) = e_target + (-1)^(len w - 1) e_source,
     because the two terms at each junction cancel (a loop's 2 in B is one
     count per end); euler_analysis checks gram = B B^tr, so q =
     |B^tr inc(w)|^2 / 2 is 1 on an open walk and 2 or 0 on a closed walk
     of odd or even length.
 
-    For a positive form the class set saturates no later than walk length
-    2n + 2; verify_root_counts additionally checks the saturated counts and
-    the value distribution against a short-vector enumeration of the form
-    itself.  max_len may not exceed WALK_LENGTH_LIMIT.
+    The search runs in that preorder.  What a walk's extensions reach
+    depends only on its state (its last oriented edge and its class, whose
+    entries sum to the length's parity) and the length left.  A walk is
+    skipped when the search below an earlier walk in its state has finished
+    with at least as much length left: that search reached every class the
+    skipped walk would, and earlier, so no witness changes.  So a state is
+    recorded when its search finishes, never on entry.
+
+    max_len=None searches to length 2n + 2, which reaches every class of a
+    positive form; on any other form, which has infinitely many classes, it
+    raises BoundTooLarge.  From that length on, a positive form's classes
+    are checked against the form: n^2 + n are nonzero, or 2n^2 when it is
+    not bipartite; those with q = 1 are its short vectors; and none, or 2n,
+    have q = 2.  An integer max_len may not exceed WALK_LENGTH_LIMIT.
     """
-    if max_len > WALK_LENGTH_LIMIT:
-        raise BoundTooLarge("walk length bound %d exceeds the limit %d"
-                            % (max_len, WALK_LENGTH_LIMIT))
+    if max_len is not None:
+        if max_len > WALK_LENGTH_LIMIT:
+            raise BoundTooLarge("walk length bound %d exceeds the limit %d"
+                                % (max_len, WALK_LENGTH_LIMIT))
+        if max_len < 1:
+            raise ValueError("walk length bound must be at least 1, got %d"
+                             % max_len)
     g = to_ribbon(gq)
     ea = euler_analysis(gq)
-    gram = ea.gramProjectives
     n = len(gq.vertices)
     # gram is B B^tr, so semidefinite: it is definite iff it is nonsingular
     positive = ea.corank == 0
+    if max_len is None and not positive:
+        raise BoundTooLarge("the form has corank %d, so its classes are "
+                            "infinitely many" % ea.corank)
+    length = 2 * n + 2 if max_len is None else max_len
 
-    length = max_len
-    if positive and verify_root_counts:
-        length = max(max_len, 2 * n + 2)
     # each walk adds its class with both signs, so a class is new exactly
     # when its negative is
     classes = {}
-    values = {}
     edge_index = g.edge_index
-    # prefix[k] is the class of the last walk of length k seen
-    prefix = [(0,) * n] * (length + 1)
-    for w in enumerate_reduced_walks(g, length):
-        k = len(w.edges)
-        base = prefix[k - 1]
-        i = edge_index[w.edges[-1][0]]
-        vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
-        prefix[k] = vec
-        if vec in classes:
+    after = _successors(g)
+    # the most length left with which the search below a state finished
+    done = {}
+    path = [None] * length
+    zero = (0,) * n
+    # an entry (state, 0, left) marks where the search below a walk finishes
+    stack = [(i, 1, zero) for i in reversed(g.oriented_edges())]
+    while stack:
+        e, k, base = stack.pop()
+        if k == 0:
+            done[e] = base
             continue
-        neg = tuple(-v for v in vec)
-        classes[vec] = (0, w)
-        classes.setdefault(neg, (1, w))
-        if w.closed:
-            values[vec] = values[neg] = 2 if k % 2 else 0
-        else:
-            values[vec] = values[neg] = 1
+        i = edge_index[e[0]]
+        vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
+        left = length - k
+        if left and done.get((e, vec), -1) >= left:
+            continue
+        path[k - 1] = e
+        if vec not in classes:
+            w = Walk._trusted(g, tuple(path[:k]))
+            classes[vec] = (0, w)
+            classes.setdefault(tuple(-v for v in vec), (1, w))
+        if left:
+            stack.append(((e, vec), 0, left))
+            stack.extend((j, k + 1, vec) for j in after[e])
+    values = {vec: (2 if w.length % 2 else 0) if w.closed else 1
+              for vec, (_, w) in classes.items()}
     value_counts = dict(Counter(values.values()))
 
-    expected = None
-    saturated = None
-    if positive:
-        expected = n * n + n if ea.nabla == 1 else 2 * n * n
-        if verify_root_counts:
-            nonzero = sum(cnt for val, cnt in value_counts.items()
-                          if val > 0)
-            saturated = nonzero == expected
-            if not saturated:
-                raise InternalMismatch(
-                    "found %d nonzero classes, expected %d" % (nonzero,
-                                                               expected))
-            oracle = root_counts(gram, up_to=1)
-            if ea.nabla == 1:
-                if value_counts.get(1, 0) != expected or oracle[1] != expected:
-                    raise InternalMismatch("1-root counts disagree")
-            else:
-                short = 2 * (n * n - n)
-                if value_counts.get(1, 0) != short or oracle[1] != short:
-                    raise InternalMismatch("1-root counts disagree")
-                # the box count of q = 2 vectors exceeds the class count as
-                # soon as orthogonal 1-roots can be summed, so only the
-                # walk side is pinned down
-                if value_counts.get(2, 0) != 2 * n:
-                    raise InternalMismatch("2-root counts disagree")
-    return PerfectClasses(classes, positive, saturated, expected, value_counts,
-                          values)
+    bipartite = ea.nabla == 1
+    expected = (n * n + n if bipartite else 2 * n * n) if positive else None
+    if positive and length >= 2 * n + 2:
+        nonzero = len(classes) - (zero in classes)
+        if nonzero != expected:
+            raise InternalMismatch("found %d nonzero classes, expected %d"
+                                   % (nonzero, expected))
+        roots = {y for x in short_vectors(ea.gramProjectives, 2)
+                 for y in (x, tuple(-v for v in x))}
+        if roots != {vec for vec, val in values.items() if val == 1}:
+            raise InternalMismatch("1-roots differ from the short vectors")
+        if value_counts.get(2, 0) != (0 if bipartite else 2 * n):
+            raise InternalMismatch("2-root counts disagree")
+    return PerfectClasses(classes, positive, expected, value_counts, values)
 
 
 # --- Auslander-Reiten translation -------------------------------------------

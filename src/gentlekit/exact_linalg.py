@@ -420,14 +420,3 @@ def short_vectors(gram, bound):
     scan(n - 1, m * math.floor(bound))
     return out
 
-
-def root_counts(gram, up_to=2):
-    """Counts {v: #x with x^T G x / 2 == v} for 1 <= v <= up_to, G pos. definite.
-
-    Both x and -x are counted, matching a plain box enumeration.
-    """
-    counts = {v: 0 for v in range(1, up_to + 1)}
-    # every listed x has 0 < x^T G x <= 2 * up_to
-    for x in short_vectors(gram, 2 * up_to):
-        counts[qform_eval(gram, x)] += 2
-    return counts

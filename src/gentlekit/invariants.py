@@ -263,7 +263,8 @@ def coxeter(gq):
     for (nn, mm), cnt in sorted(aag.pairs.items()):
         if nn == 0:
             continue
-        factor = IntPolynomial.monomial(nn) - IntPolynomial.const((-1) ** (nn + mm))
+        sign = -1 if (nn + mm) % 2 else 1
+        factor = IntPolynomial.monomial(nn) - IntPolynomial.const(sign)
         prod = prod * factor ** cnt
     # char poly = prod * (z-1)^e with e = #arrows - #vertices; for e < 0 the
     # (z-1)^(-e) goes to the left side, which keeps the comparison in Z[z]

@@ -216,7 +216,7 @@ def forbidden_ribbon(gq):
     sigma_hat = {}
     for th in gq.forbidden:
         for pos in range(th.length + 1):
-            sigma_hat[(th.index, pos)] = (-1) ** (th.length - pos)
+            sigma_hat[(th.index, pos)] = -1 if (th.length - pos) % 2 else 1
     return ForbiddenRibbon(g, sigma_hat)
 
 

@@ -365,20 +365,25 @@ def plus_ops(w):
 # --- enumeration -----------------------------------------------------------
 
 
-def enumerate_reduced_walks(g, max_len):
-    """All reduced walks with 1..max_len edges, depth first: each walk comes
-    just before its extensions by one edge, which follow the chain order at
-    its source vertex."""
-    if max_len < 1:
-        raise ValueError("walk length bound must be at least 1, got %d" % max_len)
-    # the edges that may follow each oriented edge, listed against the chain
-    # order at its source so that the stack pops them in chain order
+def _successors(g):
+    """The edges that may follow each oriented edge, listed against the chain
+    order at its source so that a stack pops them in chain order."""
     after = {}
     for i in g.oriented_edges():
         back = _inv(i)
         after[i] = [j for j in map(g.oriented_with_target,
                                    reversed(g.chains[g.s_half(i)[0]]))
                     if j != back]
+    return after
+
+
+def enumerate_reduced_walks(g, max_len):
+    """All reduced walks with 1..max_len edges in the preorder that
+    derived.enumerate_perfect_classes searches: each walk comes just before
+    its extensions by one edge, in the chain order at its source vertex."""
+    if max_len < 1:
+        raise ValueError("walk length bound must be at least 1, got %d" % max_len)
+    after = _successors(g)
     out = []
     stack = [(i,) for i in reversed(g.oriented_edges())]
     while stack:

@@ -6,11 +6,13 @@ import sys
 import pytest
 
 import gentlekit
-from gentlekit import from_ribbon, invariants
+from gentlekit import from_ribbon, invariants, to_ribbon
 from gentlekit.cli import build_parser, main
+from gentlekit.derived import ar_translate, k0_class
 from gentlekit.ribbon import RibbonGraph
+from gentlekit.walks import enumerate_reduced_walks
 
-from conftest import FIXTURES
+from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +114,24 @@ def test_walk_bad_edge_is_input_error(capsys):
                            "--walk", "99")
     assert code == 2
     assert "error:" in err
+
+
+def test_k0_classes_are_ints_at_negative_shifts(capsys):
+    # a sign (-1) ** m is a float for m < 0, and the float reached the JSON
+    code, out, _ = run_cli(capsys, "walk", fx("loop.quiver"), "--walk", "1",
+                           "--shift", "-1", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["class"] == [-1] and type(data["class"][0]) is int
+    assert data["root"]["value"] == 2 and type(data["root"]["value"]) is int
+    shifts = set()
+    for name in FIXTURE_NAMES:
+        gq = load_fixture(name)
+        for w in enumerate_reduced_walks(to_ribbon(gq), 3):
+            end = ar_translate(gq, 0, w).end
+            shifts.add(end.m)
+            assert all(type(v) is int for v in k0_class(end)), (name, w)
+    assert min(shifts) < 0
 
 
 def test_roots(capsys):

@@ -13,7 +13,8 @@ from gentlekit.derived import (
     root_classify,
     root_tag,
 )
-from gentlekit.errors import BoundTooLarge
+from gentlekit.cli import main
+from gentlekit.errors import BoundTooLarge, InternalMismatch
 from gentlekit.exact_linalg import qform_eval, short_vectors
 from gentlekit.invariants import coxeter, euler_analysis
 from gentlekit.walks import (
@@ -27,7 +28,7 @@ from gentlekit.walks import (
     trivial_walk,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 
 
 def _pair(name):
@@ -209,7 +210,7 @@ def test_loop_odd_powers_are_two_roots():
 
 def test_perfect_classes_loop():
     gq, _ = _pair("loop")
-    pc = enumerate_perfect_classes(gq, max_len=8, verify_root_counts=True)
+    pc = enumerate_perfect_classes(gq, max_len=None)
     assert pc.positive
     assert sorted(pc.classes) == [(-1,), (0,), (1,)]
     assert pc.expected_nonzero == 2
@@ -218,8 +219,8 @@ def test_perfect_classes_loop():
 
 def test_perfect_classes_tree():
     gq, _ = _pair("tree")
-    pc = enumerate_perfect_classes(gq, max_len=8, verify_root_counts=True)
-    assert pc.positive and pc.saturated
+    pc = enumerate_perfect_classes(gq, max_len=None)
+    assert pc.positive
     assert pc.expected_nonzero == 6
     assert sorted(pc.classes) == [(-1, 0), (-1, 1), (0, -1), (0, 1),
                                   (1, -1), (1, 0)]
@@ -230,8 +231,8 @@ def test_perfect_classes_nonpositive():
     gq, _ = _pair("sixvertex")
     pc = enumerate_perfect_classes(gq, max_len=4)
     assert not pc.positive
-    assert pc.saturated is None and pc.expected_nonzero is None
-    assert len(pc.classes) == len(set(pc.sorted_classes()))
+    assert pc.expected_nonzero is None
+    assert len(pc.classes) == len(set(sorted(pc.classes)))
 
 
 def test_perfect_class_values_match_root_classify():
@@ -286,8 +287,8 @@ def test_one_roots_are_walk_classes(kind, n):
     # the root theorem as sets on a positive form: the classes of walks with
     # q = 1 are exactly the vectors with q = 1
     gq = _quiver_with_edges(random.Random("%s:%d" % (kind, n)), kind, n)
-    pc = enumerate_perfect_classes(gq, max_len=1, verify_root_counts=True)
-    assert pc.positive and pc.saturated
+    pc = enumerate_perfect_classes(gq, max_len=None)
+    assert pc.positive
     walk_roots = {vec for vec, val in pc.values.items() if val == 1}
     short = short_vectors(euler_analysis(gq).gramProjectives, 2)
     assert walk_roots == {y for x in short for y in (x, tuple(-v for v in x))}
@@ -297,6 +298,79 @@ def test_bound_too_large():
     gq, _ = _pair("sixvertex")
     with pytest.raises(BoundTooLarge):
         enumerate_perfect_classes(gq, max_len=11)
+
+
+def test_every_class_needs_a_positive_form():
+    # sixvertex has corank 2: its classes are infinitely many
+    gq, _ = _pair("sixvertex")
+    with pytest.raises(BoundTooLarge, match="corank 2"):
+        enumerate_perfect_classes(gq, max_len=None)
+
+
+def _prefix_reference(gq, max_len):
+    """Classes, witnesses and values by a pass over every reduced walk:
+    each walk's class is its prefix's class with one entry changed."""
+    g = to_ribbon(gq)
+    n = len(gq.vertices)
+    classes = {}
+    values = {}
+    edge_index = g.edge_index
+    # prefix[k] is the class of the last walk of length k seen
+    prefix = [(0,) * n] * (max_len + 1)
+    for w in enumerate_reduced_walks(g, max_len):
+        k = len(w.edges)
+        base = prefix[k - 1]
+        i = edge_index[w.edges[-1][0]]
+        vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
+        prefix[k] = vec
+        if vec in classes:
+            continue
+        neg = tuple(-v for v in vec)
+        classes[vec] = (0, w)
+        classes.setdefault(neg, (1, w))
+        if w.closed:
+            values[vec] = values[neg] = 2 if k % 2 else 0
+        else:
+            values[vec] = values[neg] = 1
+    return classes, values
+
+
+def test_state_search_keeps_every_witness():
+    # the search skips a walk only when an earlier, finished search reached
+    # its state with as much length left, so it must find the same first
+    # walk for every class as a pass over all reduced walks
+    cases = [(name, load_fixture(name), bound) for name in FIXTURE_NAMES
+             for bound in range(1, 9 if name == "sixvertex" else 11)]
+    rng = random.Random(1)
+    kinds = ("any", "tree", "odd1cycle")
+    for k in range(600):
+        g = random_marked_ribbon_graph(rng, kind=kinds[k % 3], max_vertices=6)
+        cases.append(("random %d" % k, from_ribbon(g), 1 + k % 8))
+    assert len(cases) == 688
+    for name, gq, bound in cases:
+        pc = enumerate_perfect_classes(gq, max_len=bound)
+        classes, values = _prefix_reference(gq, bound)
+        got = {vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()}
+        assert got == {vec: (sign, w.edges)
+                       for vec, (sign, w) in classes.items()}, (name, bound)
+        assert pc.values == values, (name, bound)
+
+
+def test_saturated_classes_are_checked_against_the_form(monkeypatch, capsys):
+    real = derived.short_vectors
+
+    def drop_one(gram, bound):
+        return real(gram, bound)[1:]
+
+    monkeypatch.setattr(derived, "short_vectors", drop_one)
+    for name in ("tree", "smallrow2"):
+        with pytest.raises(InternalMismatch, match="1-roots differ"):
+            enumerate_perfect_classes(load_fixture(name), max_len=None)
+    # tree has n = 2, so a bound of 6 reaches 2n + 2 and 5 does not
+    enumerate_perfect_classes(load_fixture("tree"), max_len=5)
+    assert main(["roots", str(FIXTURES / "tree.quiver"), "--max-len", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "1-roots differ" in err
 
 
 def test_ar_triangle_frozen():

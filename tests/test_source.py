@@ -7,7 +7,9 @@ for a failed cross-check, and only errors.py names AssertionError, as its
 base class.
 
 The library computes in ints: Fraction is named only inside
-exact_linalg.char_poly, for a Hessenberg pivot that does not divide.
+exact_linalg.char_poly, for a Hessenberg pivot that does not divide.  A
+sign is written in parity form, -1 if e % 2 else 1, never as (-1) ** e,
+which is a float when e < 0.
 
 No code is kept that only its own unit test calls: every top-level function
 and class, and every method other than a __dunder__ one, is named somewhere
@@ -122,3 +124,18 @@ def test_fraction_only_in_char_poly():
                 outside.append("%s:%d" % (path.name, node.lineno))
     assert outside == []
     assert inside >= 1
+
+
+def _is_minus_one(node):
+    return (isinstance(node, ast.Constant) and node.value == -1
+            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1)
+
+
+def test_no_power_of_minus_one():
+    found = ["%s:%d" % (path.name, node.lineno) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+             and _is_minus_one(node.left)]
+    assert found == []
