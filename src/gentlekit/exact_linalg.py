@@ -419,4 +419,3 @@ def short_vectors(gram, bound):
 
     scan(n - 1, m * math.floor(bound))
     return out
-

@@ -298,11 +298,7 @@ def test_bound_too_large():
     gq, _ = _pair("sixvertex")
     with pytest.raises(BoundTooLarge):
         enumerate_perfect_classes(gq, max_len=11)
-
-
-def test_every_class_needs_a_positive_form():
-    # sixvertex has corank 2: its classes are infinitely many
-    gq, _ = _pair("sixvertex")
+    # every class is asked for, but corank 2 makes them infinitely many
     with pytest.raises(BoundTooLarge, match="corank 2"):
         enumerate_perfect_classes(gq, max_len=None)
 
