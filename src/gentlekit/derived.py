@@ -198,6 +198,7 @@ def enumerate_perfect_classes(gq, max_len=10):
     # each walk adds its class with both signs, so a class is new exactly
     # when its negative is
     classes = {}
+    values = {}
     edge_index = g.edge_index
     after = _successors(g)
     # the most length left with which the search below a state finished
@@ -219,13 +220,13 @@ def enumerate_perfect_classes(gq, max_len=10):
         path[k - 1] = e
         if vec not in classes:
             w = Walk._trusted(g, tuple(path[:k]))
+            neg = tuple(-v for v in vec)
             classes[vec] = (0, w)
-            classes.setdefault(tuple(-v for v in vec), (1, w))
+            classes.setdefault(neg, (1, w))
+            values[vec] = values[neg] = (2 if k % 2 else 0) if w.closed else 1
         if left:
             stack.append(((e, vec), 0, left))
             stack.extend((j, k + 1, vec) for j in after[e])
-    values = {vec: (2 if w.length % 2 else 0) if w.closed else 1
-              for vec, (_, w) in classes.items()}
     value_counts = dict(Counter(values.values()))
 
     bipartite = ea.nabla == 1
