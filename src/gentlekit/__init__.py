@@ -16,8 +16,8 @@ from .ribbon import (ForbiddenRibbon, RibbonGraph, dot_export,
 from .walks import (Face, NotConcatenable, NotReduced, UnknownEdge, Walk,
                     anti_walk, classify_walk, connecting_path, deg_step,
                     degree, enumerate_belts, enumerate_reduced_walks, faces,
-                    incidence_vector, is_belt, parse_walk, plus_ops,
-                    reduced_concat, to_walk, trivial_walk)
+                    incidence_vector, is_belt, parse_walk, reduced_concat,
+                    trivial_walk)
 from .invariants import (AAGInvariant, EulerAnalysis, Fingerprint,
                          aag_invariant, compare, coxeter, euler_analysis,
                          fingerprint, multi_clock)

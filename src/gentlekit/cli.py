@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from .brauer import brauer_cartan, brauer_classify, brauer_from_json
-from .derived import (BandComplex, ar_translate, build_string_complex,
-                      enumerate_perfect_classes, k0_class, root_classify,
-                      root_tag)
+from .derived import (BandComplex, ar_translate, enumerate_perfect_classes,
+                      k0_class, root_classify, root_tag)
 from .errors import InternalMismatch
 from .invariants import aag_invariant, compare, coxeter, euler_analysis, \
     fingerprint, ribbon_faces, FINGERPRINT_FIELDS
@@ -163,12 +162,11 @@ def cmd_walk(args):
     gq = _load_quiver(args.path)
     g = to_ribbon(gq)
     w = parse_walk(g, args.walk)
-    sc = build_string_complex(gq, args.shift, w)
-    cls = k0_class(sc)
-    root = root_classify(gq, cls)
     tri = ar_translate(gq, args.shift, w)
+    cls = k0_class(tri.start)
+    root = root_classify(gq, cls)
     payload = {
-        "complex": _complex_json(sc),
+        "complex": _complex_json(tri.start),
         "class": list(cls),
         "root": {"value": root.value, "tag": root.tag, "note": root.note},
         "walkClass": classify_walk(w),

@@ -7,27 +7,53 @@ junction.  Belts (closed walks with a vanishing degree around the seam)
 describe one-parameter families; only the fiber dimension of the companion
 automorphism enters any invariant computed here, so it is kept as a number.
 Classes in the Grothendieck group are signed incidence vectors of walks, and
-almost split triangles are read off the walk extensions of plus_ops.
+almost split triangles are read off the extensions of a walk by anti-walks.
 """
 
 from collections import Counter
+from itertools import accumulate
 
-from .errors import BoundTooLarge, InternalMismatch
+from .errors import BoundTooLarge, InternalMismatch, TrivialInput
 from .exact_linalg import qform_eval, short_vectors
 from .invariants import euler_analysis
 from .ribbon import to_ribbon
-from .walks import (Walk, _successors, classify_walk, connecting_path,
-                    incidence_vector, plus_ops)
+from .walks import (NotReduced, Walk, _successors, anti_walk, classify_walk,
+                    connecting_path, incidence_vector, reduced_concat)
 
 
 class StringComplex:
-    __slots__ = ("m", "walk", "terms", "maps")
+    """The complex of a walk on to_ribbon(gq), shifted by m.  It is its
+    shift and its walk: terms and maps are unfolded from the walk each time
+    they are read."""
 
-    def __init__(self, m, walk, terms, maps):
+    __slots__ = ("gq", "m", "walk")
+
+    def __init__(self, gq, m, walk):
+        self.gq = gq
         self.m = m
         self.walk = walk
-        self.terms = tuple(terms)    # (cohomological degree, projective id)
-        self.maps = tuple(maps)      # (from term, to term, path, reversed)
+
+    def _junctions(self):
+        """(degree, chain steps) at each junction, by connecting_path."""
+        w = self.walk
+        return [connecting_path(w.graph, w.edges[t], w.edges[t + 1])
+                for t in range(len(w.edges) - 1)]
+
+    @property
+    def terms(self):
+        """(cohomological degree, projective id), one per walk edge."""
+        degrees = accumulate((d for d, _ in self._junctions()), initial=self.m)
+        return tuple(zip(degrees, (e for e, _ in self.walk.edges)))
+
+    @property
+    def maps(self):
+        """(from term, to term, path, reversed), one per junction."""
+        maps = []
+        for t, (d, steps) in enumerate(self._junctions()):
+            path = tuple(self.gq.arrow_at[h] for h in steps)
+            maps.append((t, t + 1, path, False) if d > 0
+                        else (t + 1, t, path, True))
+        return tuple(maps)
 
     def __repr__(self):
         return "StringComplex(m=%d, %s)" % (self.m, self.walk.render())
@@ -52,29 +78,21 @@ class BandComplex:
 
 
 def build_string_complex(gq, m, w):
-    """Unfold a reduced walk into terms and maps; trivial walks give the
-    zero complex.  connecting_path raises NotReduced at a backtracking
-    junction."""
-    if w.trivial:
-        return StringComplex(m, w, (), ())
-    g = to_ribbon(gq)
-    # junction steps are chain positions, so the walk must live on the
-    # graph rebuilt from the quiver, not merely an isomorphic copy
-    if w.graph is not g and (w.graph.vertices != g.vertices
-                             or w.graph.edge_halves != g.edge_halves):
-        raise ValueError("walk graph does not match the quiver's own graph; "
-                         "take walks on to_ribbon(gq)")
-    terms = [(m, w.edges[0][0])]
-    maps = []
-    for t in range(len(w.edges) - 1):
-        d, steps = connecting_path(w.graph, w.edges[t], w.edges[t + 1])
-        terms.append((terms[-1][0] + d, w.edges[t + 1][0]))
-        path = tuple(gq.arrow_at[h] for h in steps)
-        if d > 0:
-            maps.append((t, t + 1, path, False))
-        else:
-            maps.append((t + 1, t, path, True))
-    return StringComplex(m, w, terms, maps)
+    """The complex of (m, w); a trivial walk gives the zero complex.  A
+    nontrivial walk must live on to_ribbon(gq), or a graph equal to it, and
+    be reduced: a backtracking junction raises NotReduced.  Both checks run
+    here, so reading terms and maps later raises nothing."""
+    if not w.trivial:
+        g = to_ribbon(gq)
+        # junction steps are chain positions, so the walk must live on the
+        # graph rebuilt from the quiver, not merely an isomorphic copy
+        if w.graph is not g and (w.graph.vertices != g.vertices
+                                 or w.graph.edge_halves != g.edge_halves):
+            raise ValueError("walk graph does not match the quiver's own "
+                             "graph; take walks on to_ribbon(gq)")
+        if not w.reduced:
+            raise NotReduced("backtracking junction")
+    return StringComplex(gq, m, w)
 
 
 def k0_class(x):
@@ -264,14 +282,29 @@ class ARTriangle:
 
 
 def ar_translate(gq, m, w):
-    """Almost split triangle starting at the complex of (m, w); plus_ops
-    rejects a walk that is not reduced."""
-    ops = plus_ops(w)
+    """Almost split triangle starting at the complex of (m, w), for a
+    nontrivial walk checked by build_string_complex.  w is extended on the
+    left by the inverse anti-walk at its target, whose length less two is
+    the shift, on the right by the anti-walk at its source, and on both
+    sides.  The extensions are reduced walks on w.graph by construction,
+    so their complexes skip the checks."""
+    if w.trivial:
+        raise TrivialInput("translation extensions need a nontrivial walk")
     start = build_string_complex(gq, m, w)
+    g = w.graph
+    to_target = anti_walk(g, w.target_vertex).inverse()
+    at_source = anti_walk(g, w.source_vertex)
+    left = reduced_concat(to_target, w)
+    right = reduced_concat(w, at_source)
+    both = reduced_concat(left, at_source)
+    if both.trivial:
+        raise InternalMismatch("two-sided extension collapsed")
+    if left.trivial and right.trivial:
+        raise InternalMismatch("both one-sided extensions collapsed")
+    shift = to_target.length - 2
     middle = []
-    if not ops.left_plus.trivial:
-        middle.append(build_string_complex(gq, m + ops.m_shift, ops.left_plus))
-    if not ops.right_plus.trivial:
-        middle.append(build_string_complex(gq, m, ops.right_plus))
-    end = build_string_complex(gq, m + ops.m_shift, ops.both_plus)
-    return ARTriangle(start, middle, end, ops.m_shift)
+    if not left.trivial:
+        middle.append(StringComplex(gq, m + shift, left))
+    if not right.trivial:
+        middle.append(StringComplex(gq, m, right))
+    return ARTriangle(start, middle, StringComplex(gq, m + shift, both), shift)

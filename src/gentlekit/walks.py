@@ -13,7 +13,6 @@ faces are the orbits of the successor permutation on oriented edges, and a
 non-full face is the chain of anti-walks of the marked halves it reaches.
 """
 
-from .errors import InternalMismatch, TrivialInput
 from .quiver import cycles
 
 
@@ -51,8 +50,8 @@ class Walk:
                     raise NotConcatenable(
                         "edges at positions %d and %d do not meet" % (t + 1, t + 2))
         else:
-            if base is None:
-                raise ValueError("a trivial walk needs a base vertex")
+            if base not in graph.vid_index:
+                raise ValueError("no vertex %r in the graph" % (base,))
             self.base = base
 
     @classmethod
@@ -238,11 +237,6 @@ def anti_walk(g, vertex_id):
     return Walk._trusted(g, tuple(edges))
 
 
-def to_walk(g, vertex_id):
-    """Inverse of the anti-walk at the vertex."""
-    return anti_walk(g, vertex_id).inverse()
-
-
 # --- faces ----------------------------------------------------------------
 
 
@@ -306,7 +300,7 @@ def faces(g):
     return out
 
 
-# --- concatenation and the translation walks ------------------------------
+# --- concatenation --------------------------------------------------------
 
 
 def reduced_concat(w1, w2):
@@ -330,36 +324,6 @@ def reduced_concat(w1, w2):
     if not rest:
         return trivial_walk(w1.graph, w1.target_vertex)
     return Walk._trusted(w1.graph, tuple(rest))
-
-
-class PlusOps:
-    __slots__ = ("left_plus", "right_plus", "both_plus", "m_shift")
-
-    def __init__(self, left_plus, right_plus, both_plus, m_shift):
-        self.left_plus = left_plus
-        self.right_plus = right_plus
-        self.both_plus = both_plus
-        self.m_shift = m_shift
-
-
-def plus_ops(w):
-    """Extend by the inverse anti-walk at the target and the anti-walk at
-    the source; the shift is two less than the target extension's length."""
-    if w.trivial:
-        raise TrivialInput("translation extensions need a nontrivial walk")
-    if not w.reduced:
-        raise NotReduced("translation extensions need a reduced walk")
-    g = w.graph
-    to_t = to_walk(g, w.target_vertex)
-    ot_s = anti_walk(g, w.source_vertex)
-    left = reduced_concat(to_t, w)
-    right = reduced_concat(w, ot_s)
-    both = reduced_concat(left, ot_s)
-    if both.trivial:
-        raise InternalMismatch("two-sided extension collapsed")
-    if left.trivial and right.trivial:
-        raise InternalMismatch("both one-sided extensions collapsed")
-    return PlusOps(left, right, both, to_t.length - 2)
 
 
 # --- enumeration -----------------------------------------------------------

@@ -54,7 +54,6 @@ from gentlekit.walks import (
     faces,
     incidence_vector,
     parse_walk,
-    plus_ops,
 )
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -211,13 +210,15 @@ def test_criterion_07_translation_triangles(quivers, random_pool):
     gl = to_ribbon(loop)
     for ell in range(1, 7):
         w = parse_walk(gl, " ".join(["1"] * ell))
-        ops = plus_ops(w)
-        assert ops.left_plus.render() == " ".join(["1"] * (ell + 1))
+        tri = ar_translate(loop, 0, w)
+        middle = [(s.m, s.walk.render()) for s in tri.middle]
+        assert middle[0] == (-1, " ".join(["1"] * (ell + 1)))
         if ell == 1:
-            assert ops.right_plus.trivial
+            # the right extension is trivial
+            assert len(middle) == 1
         else:
-            assert ops.right_plus.render() == " ".join(["1"] * (ell - 1))
-        assert ops.m_shift == -1
+            assert middle[1:] == [(0, " ".join(["1"] * (ell - 1)))]
+        assert tri.shift == -1
 
     checked = 0
     for g, gq in random_pool:

@@ -116,6 +116,15 @@ def test_walk_bad_edge_is_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("walk,message", [
+    ("2 -3 3", "backtracking junction"),
+    ("1 1", "edges at positions 1 and 2 do not meet")])
+def test_walk_rejects_bad_junctions(capsys, walk, message):
+    code, out, err = run_cli(capsys, "walk", fx("sixvertex.quiver"),
+                             "--walk", walk)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_k0_classes_are_ints_at_negative_shifts(capsys):
     # a sign (-1) ** m is a float for m < 0, and the float reached the JSON
     code, out, _ = run_cli(capsys, "walk", fx("loop.quiver"), "--walk", "1",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gentlekit import (RibbonGraph, derived, from_ribbon,
-                       random_marked_ribbon_graph, to_ribbon)
+                       random_marked_ribbon_graph, to_ribbon, walks)
 from gentlekit.derived import (
     BandComplex,
     ar_translate,
@@ -14,7 +14,7 @@ from gentlekit.derived import (
     root_tag,
 )
 from gentlekit.cli import main
-from gentlekit.errors import BoundTooLarge, InternalMismatch
+from gentlekit.errors import BoundTooLarge, InternalMismatch, TrivialInput
 from gentlekit.exact_linalg import qform_eval, short_vectors
 from gentlekit.invariants import coxeter, euler_analysis
 from gentlekit.walks import (
@@ -294,6 +294,16 @@ def test_one_roots_are_walk_classes(kind, n):
     assert walk_roots == {y for x in short for y in (x, tuple(-v for v in x))}
 
 
+def test_random_positive_forms_saturate():
+    # with max_len=None the call checks the class count, the q = 1 set and
+    # the q = 2 count against the form; here on random positive quivers
+    rng = random.Random(2026)
+    for k in range(12):
+        kind = "tree" if k % 2 == 0 else "odd1cycle"
+        gq = _quiver_with_edges(rng, kind, rng.randint(20, 60))
+        assert enumerate_perfect_classes(gq, max_len=None).positive, k
+
+
 def test_bound_too_large():
     gq, _ = _pair("sixvertex")
     with pytest.raises(BoundTooLarge):
@@ -377,6 +387,43 @@ def test_ar_triangle_frozen():
     assert [(x.m, x.walk.render()) for x in tri.middle] == [
         (1, "4 -1 2 -1 3 5"), (0, "-1 3 5 -2 1 -4")]
     assert (tri.end.m, tri.end.walk.render()) == (1, "4 -1 2 -1 3 5 -2 1 -4")
+
+    gq, g = _pair("loop")
+    tri = ar_translate(gq, 0, parse_walk(g, "1"))
+    assert tri.shift == -1
+    # the right extension is trivial, so the middle holds the left one only
+    assert [(x.m, x.walk.render()) for x in tri.middle] == [(-1, "1 1")]
+    assert (tri.end.m, tri.end.walk.render()) == (-1, "1")
+    with pytest.raises(TrivialInput):
+        ar_translate(gq, 0, trivial_walk(g, "a1"))
+
+
+def _triangle_values(gq, g):
+    """(m, edges, class) of each member of each triangle over the reduced
+    walks up to length 3."""
+    return [[(x.m, x.walk.edges, k0_class(x))
+             for x in (tri.start, *tri.middle, tri.end)] + [tri.shift]
+            for tri in (ar_translate(gq, 0, w)
+                        for w in enumerate_reduced_walks(g, 3))]
+
+
+def test_triangles_and_classes_unfold_no_junction(monkeypatch):
+    # a triangle and its members' classes are read off walks: with every
+    # routine that unfolds a junction failing, they come out the same
+    pairs = [_pair(name) for name in FIXTURE_NAMES]
+    expected = [_triangle_values(gq, g) for gq, g in pairs]
+
+    def unfold(*args):
+        raise RuntimeError("a junction was unfolded")
+
+    for module in (derived, walks):
+        monkeypatch.setattr(module, "connecting_path", unfold)
+    monkeypatch.setattr(walks, "deg_step", unfold)
+    assert [_triangle_values(gq, g) for gq, g in pairs] == expected
+    # the patch does reach the unfolding
+    gq, g = _pair("amiot1")
+    with pytest.raises(RuntimeError):
+        ar_translate(gq, 0, parse_walk(g, "-1 3 5")).start.terms
 
 
 def test_ar_one_loop_family():

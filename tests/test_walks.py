@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gentlekit import from_ribbon, random_marked_ribbon_graph, to_ribbon
-from gentlekit.errors import InternalMismatch, TrivialInput
+from gentlekit.derived import ar_translate, build_string_complex
 from gentlekit.walks import (
     NotConcatenable,
     NotReduced,
@@ -20,9 +20,7 @@ from gentlekit.walks import (
     incidence_vector,
     is_belt,
     parse_walk,
-    plus_ops,
     reduced_concat,
-    to_walk,
     trivial_walk,
 )
 
@@ -80,6 +78,17 @@ def test_trivial_walks():
     assert incidence_vector(w) == (0, 0)
 
 
+def test_trivial_walk_base_must_be_a_vertex():
+    g = _ribbon("tree")
+    for make, base in ((lambda: trivial_walk(g, "nope"), "nope"),
+                       (lambda: trivial_walk(g, 0), 0),
+                       (lambda: Walk(g, (), base="nope"), "nope"),
+                       (lambda: Walk(g, ()), None)):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert repr(base) in str(exc.value)
+
+
 def test_degree_steps_frozen():
     g = _ribbon("sixvertex")
     w = parse_walk(g, "2 -3 -5 4 6 -2 1")
@@ -130,7 +139,7 @@ def test_anti_walks_frozen():
     assert xi == {"a1": "g1", "g1": "b1", "b1": "triv:4", "triv:4": "a1"}
     assert anti_walk(g, "a1").render() == "2 -1 3"
     # the dual walk runs the other way
-    assert to_walk(g, "a1").render() == "-3 1 -2"
+    assert anti_walk(g, "a1").inverse().render() == "-3 1 -2"
 
     gx = _ribbon("twosided")
     awx, _ = _anti_walks(gx)
@@ -235,26 +244,6 @@ def test_reduced_concat():
     assert c.render() == "-1 1 -4"[-5:] or c.render() == "-4"
 
 
-def test_plus_ops_frozen():
-    gq = load_fixture("amiot1")
-    g = to_ribbon(gq)
-    ops = plus_ops(parse_walk(g, "-1 3 5"))
-    assert ops.left_plus.render() == "4 -1 2 -1 3 5"
-    assert ops.right_plus.render() == "-1 3 5 -2 1 -4"
-    assert ops.both_plus.render() == "4 -1 2 -1 3 5 -2 1 -4"
-    assert ops.m_shift == 1
-
-    gL = _ribbon("loop")
-    ops = plus_ops(parse_walk(gL, "1"))
-    assert ops.left_plus.render() == "1 1"
-    assert ops.right_plus.trivial
-    assert ops.both_plus.render() == "1"
-    assert ops.m_shift == -1
-
-    with pytest.raises(TrivialInput):
-        plus_ops(trivial_walk(gL, "a1"))
-
-
 def test_enumerate_reduced_walks():
     gL = _ribbon("loop")
     assert sorted(w.render() for w in enumerate_reduced_walks(gL, 3)) == [
@@ -326,20 +315,25 @@ def _assert_passes_outside_check(w):
 
 
 def test_derived_walks_pass_outside_validation():
-    # walks the library derives skip the adjacency check of Walk(g, edges);
-    # every one of them must still pass it
+    # walks the library derives skip the adjacency check of Walk(g, edges),
+    # and triangle members skip build_string_complex's checks; every one of
+    # them must still pass both
     rng = random.Random(61)
-    graphs = [_ribbon(name) for name in FIXTURE_NAMES]
-    graphs += [random_marked_ribbon_graph(rng, kind="any") for _ in range(12)]
-    for g in graphs:
+    quivers = [load_fixture(name) for name in FIXTURE_NAMES]
+    quivers += [from_ribbon(random_marked_ribbon_graph(rng, kind="any"))
+                for _ in range(12)]
+    for gq in quivers:
+        g = to_ribbon(gq)
         walks = enumerate_reduced_walks(g, 4)
         for w in walks:
             _assert_passes_outside_check(w)
             _assert_passes_outside_check(w.inverse())
-            ops = plus_ops(w)
-            for x in (ops.left_plus, ops.right_plus, ops.both_plus):
-                if not x.trivial:
-                    _assert_passes_outside_check(x)
+            tri = ar_translate(gq, 0, w)
+            for x in (tri.start, *tri.middle, tri.end):
+                _assert_passes_outside_check(x.walk)
+                assert x.walk.reduced
+                y = build_string_complex(gq, x.m, x.walk)
+                assert (y.terms, y.maps) == (x.terms, x.maps)
         for w1 in walks[:40]:
             for w2 in walks[:40]:
                 if w1.source_vertex == w2.target_vertex:
