@@ -20,6 +20,21 @@ HERE = pathlib.Path(__file__).parent
 GOLDEN = HERE / "cli_golden.json"
 FIXTURES = HERE / "fixtures"
 
+# one walk per quiver fixture with a map against walk order, so the shifted
+# cases cross a junction (tree has no such walk of length 3)
+LONG_WALKS = {
+    "amiot0.quiver": "1 -2 1",
+    "amiot1.quiver": "1 -2 1",
+    "amiot2.quiver": "1 -5 2",
+    "loop.quiver": "-1 -1 -1",
+    "nonpalin.quiver": "1 -2 1",
+    "sixvertex.quiver": "1 -6 -4",
+    "smallrow2.quiver": "1 -2 -2",
+    "tree.quiver": "1 -2",
+    "triangle.rgraph.json": "-1 -3 2",
+    "twosided.quiver": "1 -3 1",
+}
+
 
 def cases():
     """Argument vectors, with fixture paths relative to the tests folder."""
@@ -37,6 +52,8 @@ def cases():
                     ["roots", q, "--max-len", "5"] + tail,
                     ["walk", q, "--walk", "1"] + tail,
                     ["compare", q, "fixtures/amiot1.quiver"] + tail]
+            out += [["walk", q, "--walk", LONG_WALKS[q[len("fixtures/"):]],
+                     "--shift", s] + tail for s in ("-1", "2")]
         out += [["brauer", b] + tail for b in brauers]
         out.append(["selftest", "--count", "30", "--seed", "3"] + tail)
     return out
