@@ -5,7 +5,9 @@ the graph as a multiplicity-weighted sum of rank-one blocks built from the
 plain incidence matrix, so it never sees the cyclic orders.  Positive
 definiteness is equivalent to the graph being a tree or having exactly one
 cycle of odd length, independently of the multiplicities; both sides of that
-equivalence are computed and compared here.
+equivalence are computed and compared here.  The definiteness side reads the
+corank of the transposed incidence matrix, which equals the Cartan corank
+because every multiplicity is positive.
 """
 
 import json
@@ -44,7 +46,7 @@ def brauer_from_json(data):
             data = json.loads(data)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
-    g = ribbon_from_json(data, min_degree_two=False)
+    g = ribbon_from_json(data)
     mult = {}
     for entry in data["vertices"]:
         if "multiplicity" in entry:
@@ -78,12 +80,14 @@ class BrauerVerdict:
 
 def brauer_classify(bg):
     """Definiteness via exact corank, structure via cycle rank and parity;
-    the two readings must agree for every multiplicity assignment.  At
+    the two readings must agree for every multiplicity assignment.  The
+    corank is that of inc^tr, equal to the Cartan corank since D > 0.  At
     cycle rank 1 the one cycle is odd exactly when the graph is not
     bipartite, a loop being a cycle of length 1."""
-    # C = inc * D * inc^tr with D >= 0 is semidefinite, x^tr C x being
-    # sum_v m_v ((inc^tr x)_v)^2, so it is definite exactly at corank 0
-    _, corank = rank_corank(brauer_cartan(bg))
+    # C = inc * D * inc^tr with D a positive diagonal has x^tr C x =
+    # sum_v m_v ((inc^tr x)_v)^2, so Cx = 0 exactly when inc^tr x = 0: C has
+    # the corank of inc^tr and is definite exactly at corank 0
+    _, corank = rank_corank(incidence_matrix(bg.graph).transpose())
     definite = corank == 0
 
     cyc_rank = len(bg.graph.edges) - len(bg.graph.vertices) + 1

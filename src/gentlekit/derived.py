@@ -151,14 +151,11 @@ def root_classify(gq, x):
 
 
 class PerfectClasses:
-    __slots__ = ("classes", "positive", "expected_nonzero", "value_counts",
-                 "values")
+    __slots__ = ("classes", "positive", "value_counts", "values")
 
-    def __init__(self, classes, positive, expected_nonzero, value_counts,
-                 values):
+    def __init__(self, classes, positive, value_counts, values):
         self.classes = classes
         self.positive = positive
-        self.expected_nonzero = expected_nonzero
         self.value_counts = value_counts
         self.values = values         # class -> value of the Euler form q
 
@@ -248,8 +245,8 @@ def enumerate_perfect_classes(gq, max_len=10):
     value_counts = dict(Counter(values.values()))
 
     bipartite = ea.nabla == 1
-    expected = (n * n + n if bipartite else 2 * n * n) if positive else None
     if positive and length >= 2 * n + 2:
+        expected = n * n + n if bipartite else 2 * n * n
         nonzero = len(classes) - (zero in classes)
         if nonzero != expected:
             raise InternalMismatch("found %d nonzero classes, expected %d"
@@ -260,7 +257,7 @@ def enumerate_perfect_classes(gq, max_len=10):
             raise InternalMismatch("1-roots differ from the short vectors")
         if value_counts.get(2, 0) != (0 if bipartite else 2 * n):
             raise InternalMismatch("2-root counts disagree")
-    return PerfectClasses(classes, positive, expected, value_counts, values)
+    return PerfectClasses(classes, positive, value_counts, values)
 
 
 # --- Auslander-Reiten translation -------------------------------------------

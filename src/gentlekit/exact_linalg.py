@@ -9,7 +9,7 @@ Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
 
 import math
-from operator import add, neg, sub
+from operator import add, index, neg, sub
 
 from .errors import InternalMismatch
 
@@ -28,7 +28,7 @@ class IntMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(index, r)) for r in rows)
         if rows:
             w = len(rows[0])
             for r in rows:
@@ -239,7 +239,7 @@ def char_poly(mat):
     coeffs = polys[n]
     if any(c.denominator != 1 for c in coeffs):
         raise InternalMismatch("non-integral coefficient in char poly")
-    return IntPolynomial(coeffs)
+    return IntPolynomial([c.numerator for c in coeffs])
 
 
 def qform_eval(gram, x):
@@ -272,7 +272,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = [int(x) for x in coeffs]
+        c = list(map(index, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

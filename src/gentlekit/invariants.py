@@ -242,8 +242,10 @@ def coxeter(gq):
     The matrix is I - J J^tr C^tr with J the column matrix of anti-walk
     incidence vectors, and C^tr J = B is verified.  Its inverse is
     I - J J^tr C: with C + C^tr = B B^tr, which euler_analysis verifies,
-    the product of the two is I - J J^tr (C + C^tr - B B^tr) = I.  For
-    finite global dimension C * Psi = -C^tr is verified as well.
+    the product of the two is I - J J^tr (C + C^tr - B B^tr) = I.  At
+    finite global dimension C is invertible and C * Psi = -C^tr follows:
+    X = J J^tr has C^tr X C = C + C^tr, so X = C^-tr + C^-1 and
+    C X C^tr = C + C^tr.
     """
     euler_analysis(gq)      # checks C + C^tr = B B^tr
     c = cartan_matrix(gq)
@@ -254,8 +256,6 @@ def coxeter(gq):
         raise InternalMismatch("anti-walk matrix fails the incidence identity")
     n = len(gq.vertices)
     psi = IntMatrix.identity(n) - j_hat * j_hat.transpose() * c.transpose()
-    if gq.global_dimension_finite and c * psi != -c.transpose():
-        raise InternalMismatch("Coxeter matrix fails -C^tr = C Psi")
 
     poly = char_poly(psi)
     aag = aag_invariant(gq)

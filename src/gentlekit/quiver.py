@@ -275,10 +275,6 @@ class Thread:
         self.index = index
 
     @property
-    def trivial(self):
-        return not self.arrows
-
-    @property
     def length(self):
         return len(self.arrows)
 

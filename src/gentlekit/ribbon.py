@@ -22,9 +22,13 @@ class RibbonGraph:
     vertices: ordered vertex ids (strings).
     counts:   halves per vertex; vertex i owns halves (i, 0) .. (i, c-1).
     pairs:    list of (edge id, half, half) in row order for matrices.
+
+    The constructor checks that there are vertices, with distinct ids and
+    at least one half each, that the pairs match every half with exactly
+    one other under distinct edge ids, and that the graph is connected.
     """
 
-    def __init__(self, vertices, counts, pairs, min_degree_two=True):
+    def __init__(self, vertices, counts, pairs):
         self.vertices = tuple(str(v) for v in vertices)
         if not self.vertices:
             raise ValueError("ribbon graph has no vertices")
@@ -69,14 +73,9 @@ class RibbonGraph:
         for tgt, src in self.edge_halves.values():
             self.iota[tgt] = src
             self.iota[src] = tgt
-        self._validate_shape(min_degree_two)
-
-    def _validate_shape(self, min_degree_two):
         ends = [(tgt[0], src[0]) for tgt, src in self.edge_halves.values()]
         if not connected(range(len(self.vertices)), ends):
             raise ValueError("ribbon graph is not connected")
-        if min_degree_two and max(self.counts) < 2:
-            raise ValueError("need a vertex of degree at least 2")
 
     # --- basic queries -------------------------------------------------
 
@@ -271,7 +270,7 @@ def ribbon_canonical_form(g):
 _ARRAY = (list, tuple)
 
 
-def ribbon_from_json(data, min_degree_two=True):
+def ribbon_from_json(data):
     """Accepts a dict or JSON text with vertices (ordered half-edge ids,
     maximal first) and iota pairs; edge ids are assigned 1..E following the
     smaller half of each edge in (vertex order, position) order."""
@@ -318,7 +317,7 @@ def ribbon_from_json(data, min_degree_two=True):
     if len(raw_pairs_sorted) != len(raw_pairs):
         raise ValueError("duplicate iota pair")
     pairs = [(k + 1, h1, h2) for k, (h1, h2) in enumerate(raw_pairs_sorted)]
-    return RibbonGraph(vertices, counts, pairs, min_degree_two=min_degree_two)
+    return RibbonGraph(vertices, counts, pairs)
 
 
 def half_name(g, half):
@@ -380,8 +379,6 @@ def random_marked_ribbon_graph(rng, kind="any", max_vertices=6):
         extra = rng.randint(0 if n > 2 else 1, 3)
         for _ in range(extra):
             ends.append((rng.randrange(n), rng.randrange(n)))
-        if max(_degrees(n, ends)) < 2:
-            ends.append((rng.randrange(n), rng.randrange(n)))
     slots = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(ends, start=1):
         slots[u].append((eid, 0))
@@ -395,11 +392,3 @@ def random_marked_ribbon_graph(rng, kind="any", max_vertices=6):
     pairs = [(eid, where[(eid, 0)], where[(eid, 1)]) for eid, _ in enumerate(ends, start=1)]
     return RibbonGraph(["v%d" % i for i in range(n)],
                        [len(lst) for lst in slots], pairs)
-
-
-def _degrees(n, ends):
-    deg = [0] * n
-    for u, v in ends:
-        deg[u] += 1
-        deg[v] += 1
-    return deg

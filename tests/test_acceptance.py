@@ -369,7 +369,7 @@ def _ribbon_from_slots(nv, slots, perm=None):
                   for (a, pa), (b, pb) in halves]
     pairs = [(eid, h1, h2) for eid, (h1, h2) in enumerate(halves, start=1)]
     names = tuple("n%d" % i for i in range(nv))
-    return RibbonGraph(names, tuple(counts), pairs, min_degree_two=False)
+    return RibbonGraph(names, tuple(counts), pairs)
 
 
 def _shape_tag(nv, slots):

@@ -4,21 +4,22 @@ import random
 
 import pytest
 
-from gentlekit import incidence_matrix, ribbon_from_json
+from gentlekit import brauer, incidence_matrix, ribbon_from_json
 from gentlekit.brauer import (
     BrauerGraph,
     brauer_cartan,
     brauer_classify,
     brauer_from_json,
 )
-from gentlekit.exact_linalg import IntMatrix, det
+from gentlekit.exact_linalg import IntMatrix, det, rank_corank
 from gentlekit.ribbon import RibbonGraph
 
 from conftest import FIXTURES, definite
+from test_acceptance import _graph_family, _ribbon_from_slots
 
 
 def _graph(vertices, counts, pairs):
-    return RibbonGraph(vertices, counts, pairs, min_degree_two=False)
+    return RibbonGraph(vertices, counts, pairs)
 
 
 def _edge_list(g):
@@ -192,3 +193,32 @@ def test_definiteness_oracle_on_random_brauer_graphs():
         assert definite(c) == (det(c) != 0) == pd
         seen[pd] += 1
     assert min(seen.values()) >= 40, seen
+
+
+def _family_with_multiplicities(seed):
+    """Criterion 10's graph family, each graph with multiplicities 1-4."""
+    rng = random.Random(seed)
+    for nv, slots in _graph_family():
+        g = _ribbon_from_slots(nv, slots)
+        yield BrauerGraph(g, {v: rng.randrange(1, 5) for v in g.vertices})
+
+
+def _verdict_fields(v):
+    return (v.tag, v.definiteness, v.corank, v.repType)
+
+
+def test_classify_builds_no_cartan_matrix(monkeypatch):
+    family = list(_family_with_multiplicities(15))
+    want = [_verdict_fields(brauer_classify(bg)) for bg in family]
+
+    def no_cartan(bg):
+        raise AssertionError("brauer_classify built a Cartan matrix")
+
+    monkeypatch.setattr(brauer, "brauer_cartan", no_cartan)
+    assert [_verdict_fields(brauer_classify(bg)) for bg in family] == want
+
+
+def test_classify_corank_is_cartan_corank():
+    for bg in _family_with_multiplicities(16):
+        assert rank_corank(brauer_cartan(bg))[1] == \
+            brauer_classify(bg).corank

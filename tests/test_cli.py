@@ -253,8 +253,7 @@ def test_vertex_id_zero_is_input_error(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "vertex id 0" in err
     g = RibbonGraph(["u", "v", "w"], [1, 2, 1],
-                    [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))],
-                    min_degree_two=False)
+                    [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))])
     with pytest.raises(ValueError, match="vertex id 0"):
         from_ribbon(g)
 

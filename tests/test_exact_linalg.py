@@ -170,6 +170,22 @@ def test_from_columns_rejects_ragged_columns():
     assert IntMatrix.from_columns([(), ()]).shape == (0, 2)
 
 
+def test_constructors_refuse_non_integers():
+    # a float, str or Fraction entry is refused, never truncated
+    for bad in (1.5, 2.0, "3", Fraction(1, 2), Fraction(4, 1)):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, 2], [bad, 3]])
+        with pytest.raises(TypeError):
+            IntPolynomial([1, bad])
+    m = IntMatrix([[True, 2], [False, 3]])
+    assert m.to_lists() == [[1, 2], [0, 3]]
+    assert all(type(x) is int for r in m.rows for x in r)
+    assert IntPolynomial([True, 2]).coeffs == (1, 2)
+    # a Hessenberg step that divides inexactly still yields int coefficients
+    poly = char_poly(IntMatrix([[0, 1, 1], [2, 0, 1], [3, 1, 0]]))
+    assert all(type(c) is int for c in poly.coeffs)
+
+
 def test_equality_and_hash_see_the_shape():
     # matrices with no rows differ by their column count alone
     empty, wide = IntMatrix([]), IntMatrix([(), ()]).transpose()

@@ -17,7 +17,9 @@ from gentlekit import (
     ribbon_to_json,
     to_ribbon,
 )
+from gentlekit.cli import main
 from gentlekit.errors import InfiniteGlobalDimension
+from gentlekit.quiver import QuiverStructureError
 from gentlekit.ribbon import quiver_canonical_form
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -133,12 +135,27 @@ def test_arrow_half_maps():
         assert {h: a for a, h in pos.items()} == gq.arrow_at, name
 
 
-def test_min_degree_gate():
-    with pytest.raises(ValueError):
-        RibbonGraph(("u", "v"), (1, 1), [(1, (0, 0), (1, 0))])
-    g = RibbonGraph(("u", "v"), (1, 1), [(1, (0, 0), (1, 0))],
-                    min_degree_two=False)
+def test_one_edge_graph_builds_but_has_no_quiver(tmp_path, capsys):
+    # one edge between two vertices is a valid ribbon (and Brauer) graph,
+    # but its quiver has no arrow, so every quiver path rejects it
+    g = RibbonGraph(("u", "v"), (1, 1), [(1, (0, 0), (1, 0))])
     assert incidence_matrix(g).to_lists() == [[1, 1]]
+    with pytest.raises(QuiverStructureError):
+        from_ribbon(g)
+    path = tmp_path / "oneedge.rgraph.json"
+    path.write_text(json.dumps(ribbon_to_json(g)))
+    assert main(["analyze", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_random_graphs_have_a_vertex_of_degree_two():
+    rng = random.Random(15)
+    for kind in ("any", "tree", "odd1cycle"):
+        for k in range(10000):
+            g = random_marked_ribbon_graph(rng, kind, max_vertices=1 + k % 8)
+            assert max(g.counts) >= 2, (kind, k)
 
 
 def test_constructor_rejects_bad_pairings():
