@@ -1,5 +1,11 @@
 """Command line front end.
 
+Each cmd_* handler returns (exit code, JSON payload or None, text renderer)
+and writes nothing to stdout.  main alone writes stdout: the payload under
+--format json, else the renderer's text; a payload of None means the output
+ignores --format.  main also turns ValueError and OSError into exit 2 and
+InternalMismatch into exit 3, with one line on stderr and nothing on stdout.
+
 Exit codes: 0 success (or inconclusive comparison), 1 provable difference or
 failed property suite, 2 input/validation errors, 3 internal cross-check
 mismatches (which indicate a bug, never bad input).
@@ -10,14 +16,17 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .brauer import brauer_cartan, brauer_classify, brauer_from_json
 from .derived import (BandComplex, ar_translate, enumerate_perfect_classes,
                       k0_class, root_classify, root_tag)
 from .errors import InternalMismatch
-from .invariants import aag_invariant, compare, coxeter, euler_analysis, \
-    fingerprint, ribbon_faces, FINGERPRINT_FIELDS
+from .exact_linalg import IntMatrix, IntPolynomial, qform_eval
+from .invariants import AAGInvariant, aag_invariant, compare, coxeter, \
+    euler_analysis, fingerprint, ribbon_faces
 from .quiver import load_gentle
 from .ribbon import (dot_export, from_ribbon, half_name,
                      quiver_canonical_form, random_marked_ribbon_graph,
@@ -37,53 +46,25 @@ def _dump_json(data):
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _poly_json(p):
-    return list(p.coeffs)
+def _json(x):
+    """JSON data for a result object: a dataclass by its field names, a
+    multiset (an AAG invariant, a Counter) as its sorted [*key, count] rows."""
+    if isinstance(x, IntMatrix):
+        return x.to_lists()
+    if isinstance(x, IntPolynomial):
+        return list(x.coeffs)
+    if isinstance(x, AAGInvariant):
+        x = x.pairs
+    if isinstance(x, Counter):
+        return sorted([*key, count] for key, count in x.items())
+    if is_dataclass(x):
+        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
-def _matrix_json(m):
-    return None if m is None else m.to_lists()
-
-
-def _euler_json(ea):
-    return {
-        "gramProjectives": _matrix_json(ea.gramProjectives),
-        "gramSimples": _matrix_json(ea.gramSimples),
-        "nabla": ea.nabla,
-        "rank": ea.rank,
-        "corank": ea.corank,
-        "dynkinProjectives": ea.dynkinProjectives,
-        "dynkinSimples": ea.dynkinSimples,
-        "unitInProjectives": ea.unitInProjectives,
-        "unitInSimples": ea.unitInSimples,
-        "connectedInSimples": ea.connectedInSimples,
-    }
-
-
-def _fingerprint_json(fp):
-    out = {}
-    for name in FINGERPRINT_FIELDS:
-        v = getattr(fp, name)
-        if name == "aag":
-            v = v.as_sorted_list()
-        elif name == "coxeterPoly":
-            v = _poly_json(v)
-        elif name == "faceProfile":
-            v = sorted([ln, dg, c] for (ln, dg), c in v.items())
-        out[name] = v
-    return out
-
-
-def _analysis_payload(gq):
-    ea = euler_analysis(gq)
+def _coxeter_json(gq):
     psi, poly = coxeter(gq)
-    return {
-        "eulerAnalysis": _euler_json(ea),
-        "aag": aag_invariant(gq).as_sorted_list(),
-        "coxeter": {"matrix": _matrix_json(psi), "poly": _poly_json(poly),
-                    "polyPretty": str(poly)},
-        "fingerprint": _fingerprint_json(fingerprint(gq)),
-    }
+    return {"matrix": _json(psi), "poly": _json(poly), "polyPretty": str(poly)}
 
 
 def _analysis_text(gq):
@@ -125,27 +106,27 @@ def _analysis_text(gq):
 def cmd_analyze(args):
     gq = _load_quiver(args.path)
     if args.dot:
-        sys.stdout.write(dot_export(to_ribbon(gq)))
-        return 0
-    if args.format == "json":
-        sys.stdout.write(_dump_json(_analysis_payload(gq)))
-    else:
-        sys.stdout.write(_analysis_text(gq))
-    return 0
+        return 0, None, lambda: dot_export(to_ribbon(gq))
+    payload = {
+        "eulerAnalysis": _json(euler_analysis(gq)),
+        "aag": _json(aag_invariant(gq)),
+        "coxeter": _coxeter_json(gq),
+        "fingerprint": _json(fingerprint(gq)),
+    }
+    return 0, payload, lambda: _analysis_text(gq)
 
 
 def cmd_compare(args):
     f1 = fingerprint(_load_quiver(args.pathA))
     f2 = fingerprint(_load_quiver(args.pathB))
     report = compare(f1, f2)
-    if args.format == "json":
-        sys.stdout.write(_dump_json({"verdict": report.verdict,
-                                     "differing": list(report.differing)}))
-    else:
-        sys.stdout.write("%s\n" % report.verdict)
+
+    def text():
+        lines = [report.verdict]
         for name in report.differing:
-            sys.stdout.write("  differs: %s\n" % name)
-    return 1 if report.differing else 0
+            lines.append("  differs: %s" % name)
+        return "\n".join(lines) + "\n"
+    return (1 if report.differing else 0), _json(report), text
 
 
 def _complex_json(sc):
@@ -178,27 +159,27 @@ def cmd_walk(args):
             "shift": tri.shift,
         },
     }
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    else:
-        sys.stdout.write("walk %s (%s)\n" % (w.render(), payload["walkClass"]))
+
+    def text():
+        lines = ["walk %s (%s)" % (w.render(), payload["walkClass"])]
         for t in payload["complex"]["terms"]:
-            sys.stdout.write("  term: P_%s at degree %d\n"
-                             % (t["projective"], t["degree"]))
+            lines.append("  term: P_%s at degree %d"
+                         % (t["projective"], t["degree"]))
         for mp in payload["complex"]["maps"]:
-            sys.stdout.write("  map %d -> %d: %s%s\n"
-                             % (mp["from"], mp["to"],
-                                " ".join(mp["path"]) or "(identity)",
-                                ", against walk order" if mp["reversed"] else ""))
-        sys.stdout.write("class %r, %s (q = %d)\n"
-                         % (payload["class"], root.tag, root.value))
-        sys.stdout.write("triangle: (%d, %s) -> %s -> (%d, %s), shift %d\n"
-                         % (args.shift, w.render(),
-                            " + ".join("(%d, %s)" % (s["m"], s["walk"])
-                                       for s in payload["arTriangle"]["middle"])
-                            or "0",
-                            tri.end.m, tri.end.walk.render(), tri.shift))
-    return 0
+            lines.append("  map %d -> %d: %s%s"
+                         % (mp["from"], mp["to"],
+                            " ".join(mp["path"]) or "(identity)",
+                            ", against walk order" if mp["reversed"] else ""))
+        lines.append("class %r, %s (q = %d)"
+                     % (payload["class"], root.tag, root.value))
+        lines.append("triangle: (%d, %s) -> %s -> (%d, %s), shift %d"
+                     % (args.shift, w.render(),
+                        " + ".join("(%d, %s)" % (s["m"], s["walk"])
+                                   for s in payload["arTriangle"]["middle"])
+                        or "0",
+                        tri.end.m, tri.end.walk.render(), tri.shift))
+        return "\n".join(lines) + "\n"
+    return 0, payload, text
 
 
 def cmd_roots(args):
@@ -212,40 +193,35 @@ def cmd_roots(args):
     payload = {"classes": rows, "positive": res.positive,
                "valueCounts": {str(k): v
                                for k, v in sorted(res.value_counts.items())}}
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    else:
+
+    def text():
+        lines = []
         for r in rows:
-            sys.stdout.write("%-20r q=%d %-7s from (%d, %s)\n"
-                             % (tuple(r["class"]), r["q"], r["tag"],
-                                r["witnessShift"], r["witnessWalk"]))
-        sys.stdout.write("%d classes, positive form: %s\n"
-                         % (len(rows), res.positive))
-    return 0
+            lines.append("%-20r q=%d %-7s from (%d, %s)"
+                         % (tuple(r["class"]), r["q"], r["tag"],
+                            r["witnessShift"], r["witnessWalk"]))
+        lines.append("%d classes, positive form: %s"
+                     % (len(rows), res.positive))
+        return "\n".join(lines) + "\n"
+    return 0, payload, text
 
 
 def cmd_aag(args):
-    gq = _load_quiver(args.path)
-    inv = aag_invariant(gq)
-    if args.format == "json":
-        sys.stdout.write(_dump_json({"aag": inv.as_sorted_list()}))
-    else:
-        sys.stdout.write("%s\n" % inv)
-    return 0
+    inv = aag_invariant(_load_quiver(args.path))
+    return 0, {"aag": _json(inv)}, lambda: "%s\n" % inv
 
 
 def cmd_coxeter(args):
     gq = _load_quiver(args.path)
-    psi, poly = coxeter(gq)
-    if args.format == "json":
-        sys.stdout.write(_dump_json({"matrix": _matrix_json(psi),
-                                     "poly": _poly_json(poly),
-                                     "polyPretty": str(poly)}))
-    else:
+
+    def text():
+        psi, poly = coxeter(gq)
+        lines = []
         for row in psi.rows:
-            sys.stdout.write("  %s\n" % " ".join("%3d" % v for v in row))
-        sys.stdout.write("characteristic polynomial: %s\n" % poly)
-    return 0
+            lines.append("  %s" % " ".join("%3d" % v for v in row))
+        lines.append("characteristic polynomial: %s" % poly)
+        return "\n".join(lines) + "\n"
+    return 0, _coxeter_json(gq), text
 
 
 def cmd_brauer(args):
@@ -255,21 +231,18 @@ def cmd_brauer(args):
     payload = {"cartan": cb.to_lists(), "definiteness": verdict.definiteness,
                "tag": verdict.tag, "repType": verdict.repType,
                "corank": verdict.corank}
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    else:
-        sys.stdout.write("%s, %s%s (corank %d)\n"
-                         % (verdict.definiteness, verdict.tag,
-                            ", representation type %s" % verdict.repType
-                            if verdict.repType else "",
-                            verdict.corank))
-    return 0
+
+    def text():
+        return ("%s, %s%s (corank %d)\n"
+                % (verdict.definiteness, verdict.tag,
+                   ", representation type %s" % verdict.repType
+                   if verdict.repType else "",
+                   verdict.corank))
+    return 0, payload, text
 
 
 def _check_one(gq):
     """Identity suite for one gentle quiver; raises on any failure."""
-    from .exact_linalg import qform_eval
-
     c = euler_analysis(gq).gramProjectives
     aag_invariant(gq)
     psi, _ = coxeter(gq)
@@ -318,10 +291,9 @@ def cmd_selftest(args):
         except InternalMismatch as exc:
             sys.stderr.write("selftest failure on instance %d (seed %d): %s\n"
                              % (k, seed, exc))
-            return 1
-    sys.stdout.write("selftest passed: %d quivers (seed %d)\n"
-                     % (args.count, seed))
-    return 0
+            return 1, None, lambda: ""
+    return 0, None, lambda: ("selftest passed: %d quivers (seed %d)\n"
+                             % (args.count, seed))
 
 
 @functools.cache
@@ -375,13 +347,19 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code, payload, text = args.run(args)
+        if args.format == "json" and payload is not None:
+            out = _dump_json(payload)
+        else:
+            out = text()
     except InternalMismatch as exc:
         sys.stderr.write("internal mismatch: %s\n" % exc)
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

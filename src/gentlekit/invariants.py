@@ -141,9 +141,6 @@ class AAGInvariant:
     def __init__(self, pairs):
         self.pairs = Counter(pairs)
 
-    def as_sorted_list(self):
-        return [[n, m, cnt] for (n, m), cnt in sorted(self.pairs.items())]
-
     def __eq__(self, other):
         return isinstance(other, AAGInvariant) and self.pairs == other.pairs
 

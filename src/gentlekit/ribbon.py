@@ -305,6 +305,7 @@ def ribbon_from_json(data):
             if hname in names:
                 raise ValueError("half-edge id %r repeated" % hname)
             names[hname] = (i, p)
+    paired = set()
     raw_pairs = []
     for pair in iota:
         if not isinstance(pair, _ARRAY) or len(pair) != 2:
@@ -312,11 +313,19 @@ def ribbon_from_json(data):
         a, b = str(pair[0]), str(pair[1])
         if a not in names or b not in names:
             raise ValueError("iota references unknown half-edge %r" % (pair,))
+        if a == b:
+            raise ValueError("half-edge %r is paired with itself" % a)
+        for h in (a, b):
+            if h in paired:
+                raise ValueError("half-edge %r is in two iota pairs" % h)
+            paired.add(h)
         raw_pairs.append(tuple(sorted((names[a], names[b]))))
-    raw_pairs_sorted = sorted(set(raw_pairs), key=lambda p: p[0])
-    if len(raw_pairs_sorted) != len(raw_pairs):
-        raise ValueError("duplicate iota pair")
-    pairs = [(k + 1, h1, h2) for k, (h1, h2) in enumerate(raw_pairs_sorted)]
+    unpaired = [h for h in names if h not in paired]
+    if unpaired:
+        raise ValueError("half-edges in no iota pair: %s"
+                         % ", ".join(map(repr, unpaired)))
+    raw_pairs.sort(key=lambda p: p[0])
+    pairs = [(k + 1, h1, h2) for k, (h1, h2) in enumerate(raw_pairs)]
     return RibbonGraph(vertices, counts, pairs)
 
 

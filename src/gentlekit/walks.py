@@ -195,16 +195,15 @@ def _period(seq):
 
 
 def is_belt(w):
-    """First and last written edge coincide, the core is primitive and
-    closed, and the total degree vanishes both globally and at the seam."""
+    """First and last written edge coincide, the core is primitive, and the
+    total degree vanishes both globally and at the seam.  The core is closed
+    because consecutive edges meet: s(e[-2]) = t(e[-1]) = t(e[0])."""
     g = w.graph
     e = w.edges
     if len(e) < 3 or e[0] != e[-1] or not w.reduced:
         return False
     core = e[:-1]
     if _period(core) != len(core):
-        return False
-    if g.s_vertex(core[-1]) != g.t_vertex(core[0]):
         return False
     if degree(w) != 0:
         return False
@@ -243,12 +242,11 @@ def anti_walk(g, vertex_id):
 class Face:
     """One orbit of the successor permutation on oriented edges."""
 
-    __slots__ = ("walk", "is_full", "factors", "deg_closed")
+    __slots__ = ("walk", "is_full", "deg_closed")
 
-    def __init__(self, walk, is_full, factors, deg_closed):
+    def __init__(self, walk, is_full, deg_closed):
         self.walk = walk
         self.is_full = is_full
-        self.factors = tuple(factors)
         self.deg_closed = deg_closed
 
     @property
@@ -285,18 +283,15 @@ def faces(g):
 
     A face is non-full when it reaches a marked half (v, 0) as a target
     half; between consecutive marked halves it runs along the anti-walk of
-    the first one, so its factors are those vertices in face order, rotated
-    to start at the one listed first in g.vertices.  The rest are full.
+    the first one.  The rest are full.
     """
     out = []
     for cyc in cycles(g.oriented_edges(), lambda i: _next_oriented(g, i)):
-        marked = [h[0] for h in map(g.t_half, cyc) if h[1] == 0]
-        k = marked.index(min(marked)) if marked else 0
-        factors = [g.vertices[i] for i in marked[k:] + marked[:k]]
+        full = all(g.t_half(i)[1] != 0 for i in cyc)
         canon = _canonical_rotation(cyc)
         d = sum(_face_deg_step(g, canon[t], canon[(t + 1) % len(canon)])
                 for t in range(len(canon)))
-        out.append(Face(Walk._trusted(g, canon), not factors, factors, d))
+        out.append(Face(Walk._trusted(g, canon), full, d))
     return out
 
 

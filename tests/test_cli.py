@@ -194,6 +194,14 @@ def test_brauer_command(capsys):
     assert data["repType"] is None
 
 
+_TWO_HALF_VERTICES = ('{"vertices": [{"id": "u", "halfEdges": ["a", "b"]}, '
+                      '{"id": "v", "halfEdges": ["c", "d"]}], ')
+IN_TWO_PAIRS = _TWO_HALF_VERTICES + '"iota": [["a", "b"], ["a", "c"]]}'
+UNPAIRED = _TWO_HALF_VERTICES + '"iota": [["a", "c"]]}'
+# the JSON half-edges that the error line must name
+NAMED_HALVES = {IN_TWO_PAIRS: ["'a'"], UNPAIRED: ["'b'", "'d'"]}
+
+
 @pytest.mark.parametrize("command,suffix,text", [
     ("analyze", ".rgraph.json", '{"vertices": [1, 2], "iota": []}'),
     ("analyze", ".rgraph.json", '{"vertices": [{"id": "u"}], "iota": []}'),
@@ -215,6 +223,14 @@ def test_brauer_command(capsys):
                  id="analyze-deeply-nested"),
     pytest.param("brauer", ".brauer.json", "[" * 100000,
                  id="brauer-deeply-nested"),
+    pytest.param("analyze", ".rgraph.json", IN_TWO_PAIRS,
+                 id="analyze-half-in-two-pairs"),
+    pytest.param("analyze", ".rgraph.json", UNPAIRED,
+                 id="analyze-unpaired-halves"),
+    pytest.param("brauer", ".brauer.json", IN_TWO_PAIRS,
+                 id="brauer-half-in-two-pairs"),
+    pytest.param("brauer", ".brauer.json", UNPAIRED,
+                 id="brauer-unpaired-halves"),
 ])
 def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
     path = tmp_path / ("bad" + suffix)
@@ -223,6 +239,8 @@ def test_malformed_json_is_input_error(capsys, tmp_path, command, suffix, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    for name in NAMED_HALVES.get(text, ()):
+        assert name in err
 
 
 def test_cross_check_failure_exits_3(capsys, monkeypatch):

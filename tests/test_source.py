@@ -14,6 +14,13 @@ which is a float when e < 0.
 No code is kept that only its own unit test calls: every top-level function
 and class, and every method other than a __dunder__ one, is named somewhere
 outside itself in the library, bench/, README.md or the acceptance tests.
+No state is kept that only unit tests read: every __slots__ entry is read as
+an attribute in the library, bench/ or the acceptance tests, or named in
+README.md.
+
+cli.main is the one writer of stdout: sys.stdout and args.format are named
+nowhere else in the library, so the cmd_* handlers return data and main
+picks the format.
 """
 
 import ast
@@ -59,11 +66,21 @@ def _named(tree):
     return out
 
 
+def _readme_words():
+    return set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+
+
+def _outside_sources():
+    """bench/*.py and the acceptance tests, the code outside the library
+    that may keep a library name alive."""
+    return [*sorted((ROOT / "bench").glob("*.py")),
+            ROOT / "tests" / "test_acceptance.py"]
+
+
 def test_every_definition_is_named_outside_itself():
     # __init__.py only re-exports, so a name there does not count
-    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    for path in [*sorted((ROOT / "bench").glob("*.py")),
-                 ROOT / "tests" / "test_acceptance.py"]:
+    outside = _readme_words()
+    for path in _outside_sources():
         outside |= _named(ast.parse(path.read_text(), str(path)))
     # the names in each statement of each library module, a class split into
     # the statements of its body: (top-level node, statement, names)
@@ -93,6 +110,65 @@ def test_every_definition_is_named_outside_itself():
                    if node is not top and node is not stmt)]
     assert len(defs) >= 150
     assert orphans == []
+
+
+def _slot_entries(tree):
+    """(line, name) for each entry of each __slots__ tuple in the tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in node.targets)):
+            value = node.value
+            entries = value.elts if isinstance(value, (ast.Tuple, ast.List)) \
+                else [value]
+            for entry in entries:
+                yield node.lineno, entry.value
+
+
+def test_every_slot_is_read():
+    read = _readme_words()
+    slots = []
+    for path in [*SOURCES, *_outside_sources()]:
+        tree = ast.parse(path.read_text(), str(path))
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+        if path in SOURCES:
+            slots += [(path.name, line, name)
+                      for line, name in _slot_entries(tree)]
+    unread = ["%s:%d %s" % slot for slot in slots if slot[2] not in read]
+    assert len(slots) >= 40
+    assert unread == []
+
+
+def _output_nodes(tree):
+    """The nodes that name sys.stdout, import stdout, or read args.format."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                or isinstance(node, ast.alias)
+                and node.name.rpartition(".")[2] == "stdout"
+                or isinstance(node, ast.Attribute) and node.attr == "format"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            yield node
+
+
+def test_stdout_and_format_only_in_cli_main():
+    outside, inside = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in tree.body:
+            if (path.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "main"):
+                allowed = set(map(id, _output_nodes(node)))
+        for node in _output_nodes(tree):
+            if id(node) in allowed:
+                inside.add(node.attr)
+            else:
+                outside.append("%s:%d" % (path.name, node.lineno))
+    assert outside == []
+    assert inside == {"stdout", "format"}
 
 
 def _fraction_nodes(tree):
