@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .brauer import brauer_cartan, brauer_classify, brauer_from_json
 from .derived import (BandComplex, ar_translate, enumerate_perfect_classes,
-                      k0_class, root_classify, root_tag)
+                      k0_class, root_classify, root_tag, walk_q_value)
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, IntPolynomial, qform_eval
 from .invariants import AAGInvariant, aag_invariant, compare, coxeter, \
@@ -252,13 +252,8 @@ def _check_one(gq):
     for w in enumerate_reduced_walks(g, 4):
         vec = incidence_vector(w)
         val = qform_eval(c, vec)
-        # open walks carry 1-roots, closed walks 0 or 2 by length parity;
-        # a belt-shaped walk is still open as a walk
-        if w.closed:
-            expect = 0 if w.length % 2 == 0 else 2
-        else:
-            expect = 1
-        if val != expect:
+        # the rule the class search reads q by, against the form itself
+        if val != walk_q_value(w):
             raise InternalMismatch("q = %d on %s walk %s"
                                    % (val, classify_walk(w), w.render()))
         if classify_walk(w) == "belt":

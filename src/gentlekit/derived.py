@@ -164,19 +164,26 @@ class PerfectClasses:
 WALK_LENGTH_LIMIT = 10
 
 
-def enumerate_perfect_classes(gq, max_len=10):
+def walk_q_value(walk):
+    """q on the class of a reduced walk, read off its ends.  With B the
+    edge-by-vertex incidence matrix, B^tr inc(w) = e_target +
+    (-1)^(len w - 1) e_source, because the two terms at each junction cancel
+    (a loop's 2 in B is one count per end); euler_analysis checks gram =
+    B B^tr, so q = |B^tr inc(w)|^2 / 2 is 1 on an open walk and 2 or 0 on a
+    closed walk of odd or even length."""
+    if not walk.closed:
+        return 1
+    return 2 if walk.length % 2 else 0
+
+
+def enumerate_perfect_classes(gq, max_len):
     """The string-complex classes of reduced walks up to max_len, or every
     class when max_len is None, with both overall signs (the sign is the
     parity of the shift).  A class is witnessed by the first walk to reach
     it in the preorder of walks.enumerate_reduced_walks.
 
     A walk's class is its prefix's class with one signed entry changed, and
-    q on a new class is read off its witness w.  With B the edge-by-vertex
-    incidence matrix, B^tr inc(w) = e_target + (-1)^(len w - 1) e_source,
-    because the two terms at each junction cancel (a loop's 2 in B is one
-    count per end); euler_analysis checks gram = B B^tr, so q =
-    |B^tr inc(w)|^2 / 2 is 1 on an open walk and 2 or 0 on a closed walk
-    of odd or even length.
+    q on a new class is walk_q_value of its witness.
 
     The search runs in that preorder.  What a walk's extensions reach
     depends only on its state (its last oriented edge and its class, whose
@@ -238,7 +245,7 @@ def enumerate_perfect_classes(gq, max_len=10):
             neg = tuple(-v for v in vec)
             classes[vec] = (0, w)
             classes.setdefault(neg, (1, w))
-            values[vec] = values[neg] = (2 if k % 2 else 0) if w.closed else 1
+            values[vec] = values[neg] = walk_q_value(w)
         if left:
             stack.append(((e, vec), 0, left))
             stack.extend((j, k + 1, vec) for j in after[e])

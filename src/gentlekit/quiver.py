@@ -5,17 +5,27 @@ forbidden length-2 paths.  Paths compose right to left: the pair (a, b)
 stands for the path "b first, then a", so it requires target(b) == source(a).
 A written word a_1 a_2 ... a_k is traversed from a_k down to a_1.
 
-The DSL accepted by parse_quiver:
+The DSL accepted by parse_quiver has three statement forms,
+
+    vertices ID ID ...
+    arrow NAME: SOURCE -> TARGET
+    rel NAME.NAME
+
+as in
 
     # comment
     vertices 1 2 3;
-    arrow a1: 1 -> 2; arrow a2: 2 -> 3
+    arrow a1: 1 -> 2; arrow a2:2->3
     rel a2.a1
 
-A statement ends at ';' or at the end of its line; ';' followed by a line
-break is one terminator, and blank or comment-only lines are skipped.  The
-last statement still needs a terminator, so text ending mid-statement is an
-error.  Vertex ids are positive integers, arrow names are identifiers.
+Ids are positive integers and names are identifiers [A-Za-z_][A-Za-z0-9_]*.
+Whitespace around ':', '->' and '.' is optional; a keyword and the name or
+id after it, and two ids, need whitespace between them.  A statement ends at
+';' or at the end of its line, and cannot span lines; ';' followed by a line
+break is one terminator, but an empty statement, as in ';;', is an error.
+'#' starts a comment that runs to the end of the line, and blank or
+comment-only lines are skipped.  The last statement still needs a
+terminator, so text ending mid-statement is an error.
 """
 
 import functools
@@ -28,8 +38,6 @@ from .errors import InternalMismatch
 class QuiverSyntaxError(ValueError):
     def __init__(self, msg, line, col):
         super().__init__("%s (line %d, column %d)" % (msg, line, col))
-        self.line = line
-        self.col = col
 
 
 class QuiverStructureError(ValueError):
@@ -149,104 +157,55 @@ class BoundQuiver:
             len(self.vertices), len(self.arrows), len(self.relations))
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|->|[:;.]")
-# token for a line break that ends a statement; no identifier has a space
-_NEWLINE = "line break"
-
-
-def _tokenize(text):
-    toks = []
-    for ln, raw in enumerate(text.splitlines(keepends=True), start=1):
-        line = raw.splitlines()[0]
-        body = line.split("#", 1)[0]
-        first = len(toks)
-        pos = 0
-        while pos < len(body):
-            ch = body[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(body, pos)
-            if not m:
-                raise QuiverSyntaxError("unexpected character %r" % ch, ln, pos + 1)
-            toks.append((m.group(0), ln, pos + 1))
-            pos = m.end()
-        if len(line) < len(raw) and len(toks) > first and toks[-1][0] != ";":
-            toks.append((_NEWLINE, ln, len(line) + 1))
-    return toks
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+# the form of each statement kind, for errors, and a regex for a statement
+# stripped of surrounding whitespace; \s and \d are Unicode, as the
+# whitespace that str.strip drops and the digits that int reads are
+_STATEMENTS = {
+    "vertices": ("'vertices ID ID ...'",
+                 re.compile(r"vertices\s*(\d+(?:\s+\d+)*)")),
+    "arrow": ("'arrow NAME: SOURCE -> TARGET'",
+              re.compile(r"arrow\s+(%s)\s*:\s*(\d+)\s*->\s*(\d+)" % _NAME)),
+    "rel": ("'rel NAME.NAME'",
+            re.compile(r"rel\s+(%s)\s*\.\s*(%s)" % (_NAME, _NAME))),
+}
 
 
 def parse_quiver(text):
-    """Parse the quiver DSL into a BoundQuiver."""
-    toks = _tokenize(text)
-    i = 0
-    vertices = []
-    arrows = []
-    relations = []
-
-    def peek():
-        return toks[i][0] if i < len(toks) else None
-
-    def take(expected=None, what=None):
-        nonlocal i
-        if i >= len(toks):
-            last = toks[-1] if toks else ("", 1, 1)
-            raise QuiverSyntaxError("unexpected end of input, expected %s"
-                                    % (what or expected), last[1], last[2])
-        tok, ln, col = toks[i]
-        if expected is not None and tok != expected:
-            raise QuiverSyntaxError("expected %r, found %r" % (expected, tok), ln, col)
-        i += 1
-        return tok, ln, col
-
-    def take_int(what):
-        tok, ln, col = take(what=what)
-        if not tok.isdigit():
-            raise QuiverSyntaxError("expected %s, found %r" % (what, tok), ln, col)
-        return int(tok)
-
-    def take_name(what):
-        tok, ln, col = take(what=what)
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            raise QuiverSyntaxError("expected %s, found %r" % (what, tok), ln, col)
-        return tok
-
-    def end_statement():
-        tok, ln, col = take(what="';' or a line break")
-        if tok not in (";", _NEWLINE):
-            raise QuiverSyntaxError("expected ';' or a line break, found %r" % tok,
-                                    ln, col)
-
-    while i < len(toks):
-        tok, ln, col = toks[i]
-        if tok == "vertices":
-            i += 1
-            if not (peek() or "").isdigit():
-                t2, l2, c2 = toks[i] if i < len(toks) else (";", ln, col)
-                raise QuiverSyntaxError("expected vertex id, found %r" % t2, l2, c2)
-            while (peek() or "").isdigit():
-                vertices.append(take_int("vertex id"))
-            end_statement()
-        elif tok == "arrow":
-            i += 1
-            name = take_name("arrow name")
-            take(":")
-            src = take_int("source vertex")
-            take("->")
-            tgt = take_int("target vertex")
-            end_statement()
-            arrows.append((name, src, tgt))
-        elif tok == "rel":
-            i += 1
-            first = take_name("arrow name")
-            take(".")
-            second = take_name("arrow name")
-            end_statement()
-            relations.append((first, second))
-        else:
-            raise QuiverSyntaxError("expected 'vertices', 'arrow' or 'rel', found %r"
-                                    % tok, ln, col)
-    return BoundQuiver(vertices, arrows, relations)
+    """Parse the quiver DSL into a BoundQuiver.  A QuiverSyntaxError names
+    the line and the column where the faulty statement starts, quotes it
+    and gives the form its keyword expects."""
+    found = {kw: [] for kw in _STATEMENTS}
+    for ln, raw in enumerate(text.splitlines(keepends=True), start=1):
+        line = raw.splitlines()[0]
+        pieces = line.split("#", 1)[0].split(";")
+        col = 1
+        for k, piece in enumerate(pieces):
+            stmt = piece.strip()
+            at = col + len(piece) - len(piece.lstrip())
+            col += len(piece) + 1
+            if k == len(pieces) - 1:
+                # after the line's last ';': blank, or ended by the line break
+                if not stmt:
+                    break
+                if line == raw:
+                    raise QuiverSyntaxError("%r needs ';' or a line break "
+                                            "after it" % stmt, ln, at)
+            # the keyword is the whole leading name, so "vertices1" is none
+            kw = re.match(_NAME, stmt)
+            kw = kw and kw.group()
+            if kw not in _STATEMENTS:
+                raise QuiverSyntaxError("expected 'vertices', 'arrow' or "
+                                        "'rel', found %r" % stmt, ln, at)
+            form, regex = _STATEMENTS[kw]
+            m = regex.fullmatch(stmt)
+            if not m:
+                raise QuiverSyntaxError("expected %s then ';' or a line "
+                                        "break, found %r" % (form, stmt),
+                                        ln, at)
+            found[kw].append(m.groups())
+    vertices = [v for (ids,) in found["vertices"] for v in ids.split()]
+    return BoundQuiver(vertices, found["arrow"], found["rel"])
 
 
 def render_quiver(q):

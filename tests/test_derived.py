@@ -314,31 +314,39 @@ def test_bound_too_large():
         enumerate_perfect_classes(gq, max_len=None)
 
 
-def _prefix_reference(gq, max_len):
-    """Classes, witnesses and values by a pass over every reduced walk:
-    each walk's class is its prefix's class with one entry changed."""
+def _preorder_reference(gq, max_len):
+    """Classes, witnesses and values by a recursive pass over every reduced
+    walk in preorder, each a tuple of edges whose class is its prefix's
+    class with one entry changed; a Walk is built only for a new class."""
     g = to_ribbon(gq)
-    n = len(gq.vertices)
+    edge_index = g.edge_index
+    # the edges that may follow each edge, in the chain order at its source
+    after = {e: [j for j in map(g.oriented_with_target,
+                                g.chains[g.vid_index[g.s_vertex(e)]])
+                 if j != (e[0], -e[1])]
+             for e in g.oriented_edges()}
     classes = {}
     values = {}
-    edge_index = g.edge_index
-    # prefix[k] is the class of the last walk of length k seen
-    prefix = [(0,) * n] * (max_len + 1)
-    for w in enumerate_reduced_walks(g, max_len):
-        k = len(w.edges)
-        base = prefix[k - 1]
-        i = edge_index[w.edges[-1][0]]
+
+    def visit(edges, base):
+        k = len(edges)
+        i = edge_index[edges[-1][0]]
         vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
-        prefix[k] = vec
-        if vec in classes:
-            continue
-        neg = tuple(-v for v in vec)
-        classes[vec] = (0, w)
-        classes.setdefault(neg, (1, w))
-        if w.closed:
-            values[vec] = values[neg] = 2 if k % 2 else 0
-        else:
-            values[vec] = values[neg] = 1
+        if vec not in classes:
+            w = walks.Walk(g, edges)
+            neg = tuple(-v for v in vec)
+            classes[vec] = (0, w)
+            classes.setdefault(neg, (1, w))
+            if w.closed:
+                values[vec] = values[neg] = 2 if k % 2 else 0
+            else:
+                values[vec] = values[neg] = 1
+        if k < max_len:
+            for j in after[edges[-1]]:
+                visit(edges + (j,), vec)
+
+    for e in g.oriented_edges():
+        visit((e,), (0,) * len(gq.vertices))
     return classes, values
 
 
@@ -356,7 +364,7 @@ def test_state_search_keeps_every_witness():
     assert len(cases) == 688
     for name, gq, bound in cases:
         pc = enumerate_perfect_classes(gq, max_len=bound)
-        classes, values = _prefix_reference(gq, bound)
+        classes, values = _preorder_reference(gq, bound)
         got = {vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()}
         assert got == {vec: (sign, w.edges)
                        for vec, (sign, w) in classes.items()}, (name, bound)

@@ -25,10 +25,11 @@ JSON_FIXTURES = ("triangle.rgraph.json", "triangle.brauer.json",
 JSON_DOCS = tuple(((FIXTURES / name).read_text(), name.split(".", 1)[1])
                   for name in JSON_FIXTURES)
 
-# pieces of the DSL, plus characters it has no use for
+# pieces of the DSL, long runs of its characters, and characters it has no
+# use for
 DSL_PIECES = ("vertices", "arrow", "rel", ";", "\n", "\r\n", ":", "->", ".",
               " ", "\t", "#", "0", "1", "2", "5", "77", "a1", "b2", "x", "-",
-              "é", "\x00")
+              "é", "\x00", "1" * 3000, "a" * 3000, " " * 3000)
 # pieces of the JSON text, so that some mutants stop being JSON
 JSON_PIECES = ("{", "}", "[", "]", ",", ":", '"', "null", "true", "-1", "1.5",
                '"u:0"', '"id"', " ", "\n")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,97 @@ def test_newline_form_parses_the_same():
         text = fixture_text(name)
         assert ";" not in newline_form(text), name
         assert parse_quiver(newline_form(text)) == parse_quiver(text), name
+
+
+def _statements(q):
+    """The tokens of each statement of a DSL text for q."""
+    yield ["vertices"] + [str(v) for v in q.vertices]
+    for a in q.arrows:
+        yield ["arrow", a.name, ":", str(a.source), "->", str(a.target)]
+    for first, second in sorted(q.relations):
+        yield ["rel", first, ".", second]
+
+
+SPACE = ("", " ", "\t", " \t  ")
+GAP = (" ", "\t", "  \t")
+NEWLINE = ("\n", "\r\n")
+COMMENT = ("", " # note", "\t#; rel a1.a2", "#")
+EXTRA_LINE = ("", "  ", "# comment", " \t# x;")
+
+
+def _relayout(q, rng):
+    """A DSL text for q in a random layout: tokens touch or are parted by
+    spaces and tabs, and a statement ends at ';' on the same line, or at a
+    line break with or without ';' before it and a comment, blank lines and
+    comment lines after it."""
+    text = rng.choice(SPACE)
+    for toks in _statements(q):
+        text += toks[0]
+        for prev, tok in zip(toks, toks[1:]):
+            # two words or numbers read as one unless whitespace parts them
+            touch = not (prev[-1].isalnum() and tok[0].isalnum())
+            text += rng.choice(SPACE if touch else GAP) + tok
+        text += rng.choice(SPACE)
+        if rng.random() < 0.5:
+            text += ";" + rng.choice(SPACE)
+            continue
+        text += rng.choice(("", ";")) + rng.choice(COMMENT)
+        text += rng.choice(NEWLINE)
+        for _ in range(rng.randrange(3)):
+            text += rng.choice(EXTRA_LINE) + rng.choice(NEWLINE)
+        text += rng.choice(SPACE)
+    return text
+
+
+def test_relayout_parses_the_same():
+    rng = random.Random(17)
+    for name in FIXTURE_NAMES:
+        q = parse_quiver(fixture_text(name))
+        for _ in range(40):
+            text = _relayout(q, rng)
+            assert parse_quiver(text) == q, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertices 1 2;;\n",
+     "expected 'vertices', 'arrow' or 'rel', found '' (line 1, column 14)"),
+    ("vertices 1 2\n  arrow a1: 1 ->\n2\n",
+     "expected 'arrow NAME: SOURCE -> TARGET' then ';' or a line break, "
+     "found 'arrow a1: 1 ->' (line 2, column 3)"),
+    ("vertices 1 2;\narrow a1: 1 -> 2;  rel a1.a1",
+     "'rel a1.a1' needs ';' or a line break after it (line 2, column 20)"),
+    ("vertices 1 2\nedge a1: 1 -> 2\n",
+     "expected 'vertices', 'arrow' or 'rel', found 'edge a1: 1 -> 2' "
+     "(line 2, column 1)"),
+    ("# ids\n\tvertices ;\n",
+     "expected 'vertices ID ID ...' then ';' or a line break, "
+     "found 'vertices' (line 2, column 2)"),
+    ("vertices 1 2 3; arrow a1: 1 -> 2 3\n",
+     "expected 'arrow NAME: SOURCE -> TARGET' then ';' or a line break, "
+     "found 'arrow a1: 1 -> 2 3' (line 1, column 17)"),
+])
+def test_rejected_statement_is_quoted_with_its_place(text, message):
+    with pytest.raises(QuiverSyntaxError) as info:
+        parse_quiver(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("stmt", [
+    "vertices " + "1" * 10 ** 5 + " x",
+    "vertices " + "1 " * (10 ** 5 // 2) + "x",
+    "arrow " + "a" * 10 ** 5,
+    "arrow a: " + "1" * 10 ** 5 + " ->",
+    "arrow" + " " * 10 ** 5 + "a:",
+    "rel " + "a" * 10 ** 5 + ".",
+    "rel a." + "b" * 10 ** 5 + " c",
+    "vertices " + " ".join(str(v) for v in range(1, 20000)),
+])
+def test_long_statements_take_linear_time(stmt):
+    # regexes with nested quantifiers backtrack exponentially on these
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_quiver(stmt + ";\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_gentleness_violations():
