@@ -10,11 +10,9 @@ corank of the transposed incidence matrix, which equals the Cartan corank
 because every multiplicity is positive.
 """
 
-import json
-
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, rank_corank
-from .ribbon import incidence_matrix, is_bipartite, ribbon_from_json
+from .ribbon import incidence_matrix, is_bipartite, load_json, ribbon_from_json
 
 
 class BrauerGraph:
@@ -41,11 +39,7 @@ class BrauerGraph:
 
 
 def brauer_from_json(data):
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+    data = load_json(data)
     g = ribbon_from_json(data)
     mult = {}
     for entry in data["vertices"]:

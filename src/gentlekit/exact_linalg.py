@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
 Everything in here works with arbitrary-precision ints.  No floats, ever:
-ranks and determinants come from fraction-free elimination, and so does
-the LDL^T decomposition behind the short-vector search, which yields
-integer rows with integer weights.
+one fraction-free (Bareiss) elimination serves the rank, the determinant
+and the LDL^T decomposition behind the short-vector search, whose rows and
+weights are integers and whose pivots decide definiteness.
 The one place a Fraction can appear is a characteristic polynomial whose
 Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
@@ -119,20 +119,19 @@ class IntMatrix:
         nz = [(j, x) for j, x in enumerate(vec) if x]
         return tuple(sum(r[j] * x for j, x in nz) for r in self.rows)
 
-    def is_symmetric(self):
-        return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
-
 
 def _bareiss(mat):
     """Fraction-free Gaussian elimination (Bareiss) on a copy of mat.
 
-    Returns (rank, signed last pivot).  For a square matrix of full rank
-    the signed last pivot is the determinant; the sign counts row swaps.
+    Returns (rows, pivots, swaps).  pivots[k] is the minor on the first k
+    rows, after the swaps, and the first k pivot columns, so pivots[0] = 1
+    and there are rank + 1 of them.  Row k holds pivots[k + 1] and the
+    eliminated entries right of it.
     """
     a = [list(r) for r in mat.rows]
     n, m = mat.nrows, mat.ncols
-    sign = 1
-    prev = 1
+    pivots = [1]
+    swaps = 0
     row = 0
     for col in range(m):
         if row == n:
@@ -146,14 +145,15 @@ def _bareiss(mat):
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
-            sign = -sign
+            swaps += 1
         p = a[row][col]
+        prev = pivots[-1]
         for i in range(row + 1, n):
             for j in range(col + 1, m):
                 a[i][j] = (p * a[i][j] - a[i][col] * a[row][j]) // prev
-        prev = p
+        pivots.append(p)
         row += 1
-    return row, sign * prev
+    return a, pivots, swaps
 
 
 def rank_corank(mat):
@@ -161,7 +161,7 @@ def rank_corank(mat):
 
     Exact for any size of entry; the input matrix is not modified.
     """
-    rank, _ = _bareiss(mat)
+    rank = len(_bareiss(mat)[1]) - 1
     return rank, mat.ncols - rank
 
 
@@ -169,8 +169,10 @@ def det(mat):
     """Determinant by fraction-free elimination."""
     if mat.nrows != mat.ncols:
         raise NotSquare("determinant of a %r matrix" % (mat.shape,))
-    rank, pivot = _bareiss(mat)
-    return pivot if rank == mat.nrows else 0
+    _, pivots, swaps = _bareiss(mat)
+    if len(pivots) <= mat.nrows:
+        return 0
+    return -pivots[-1] if swaps % 2 else pivots[-1]
 
 
 def char_poly(mat):
@@ -282,8 +284,8 @@ class IntPolynomial:
         return cls([v])
 
     @classmethod
-    def monomial(cls, n, c=1):
-        return cls([0] * n + [c])
+    def monomial(cls, n):
+        return cls([0] * n + [1])
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -363,34 +365,23 @@ def short_vectors(gram, bound):
     definite; [] when the bound is negative.
 
     Fincke-Pohst enumeration in integers (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.7.3) on a fraction-free LDL^T of G.  Raises
+    Algebraic Number Theory, 2.7.3) on the LDL^T read off _bareiss.  Raises
     ValueError when G is not symmetric and positive definite.  Returns
     vectors as tuples; for every x only one of x, -x is listed.
     """
     if gram.nrows != gram.ncols:
         raise NotSquare("gram matrix of shape %r" % (gram.shape,))
-    if not gram.is_symmetric():
+    if gram.rows != tuple(zip(*gram.rows)):
         raise ValueError("definiteness needs a symmetric matrix")
     n = gram.nrows
-    # symmetric Bareiss on the upper triangle: with pivot p and prev the pivot
-    # before it (1 at first), an entry becomes (p * a_ij - a_ki * a_kj) // prev,
-    # exact by Sylvester's identity.  The pivots are the leading principal
-    # minors, all positive exactly when G is definite (Sylvester's criterion).
-    # Row k, zero left of column k, is a_k; with w_k = p_k * prev,
-    # x^T G x = sum_k (a_k . x)^2 / w_k
-    a = [[0] * k + list(r[k:]) for k, r in enumerate(gram.rows)]
-    weights = []
-    prev = 1
-    for k, row in enumerate(a):
-        p = row[k]
-        if p <= 0:
-            raise ValueError("matrix is not positive definite")
-        for i in range(k + 1, n):
-            f = row[i]
-            a[i][i:] = [(p * x - f * y) // prev
-                        for x, y in zip(a[i][i:], row[i:])]
-        weights.append(p * prev)
-        prev = p
+    # with no swap and rank n, pivots[k] is the leading principal minor of
+    # order k, and all are positive exactly when G is definite (Sylvester's
+    # criterion), which then needs no swap.  With a_k row k from column k on
+    # and w_k = pivots[k] * pivots[k + 1], x^T G x = sum_k (a_k . x)^2 / w_k
+    a, pivots, swaps = _bareiss(gram)
+    if swaps or len(pivots) <= n or min(pivots) <= 0:
+        raise ValueError("matrix is not positive definite")
+    weights = [p * q for p, q in zip(pivots, pivots[1:])]
     if bound < 0:
         return []
     # m * x^T G x = sum_i c_i * (p_i x_i + s_i)^2 with m = lcm(w), c_i = m // w_i,

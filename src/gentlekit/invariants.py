@@ -102,8 +102,8 @@ def euler_analysis(gq):
     if nabla != multi_clock(gq):
         raise InternalMismatch("bipartiteness and direction parity disagree")
     rank, corank = rank_corank(gram)
-    if corank != na - nv + nabla or rank != 2 * nv - na - nabla:
-        raise InternalMismatch("rank/corank off the predicted values")
+    if corank != na - nv + nabla:
+        raise InternalMismatch("corank off the predicted value")
 
     unit_p = all(gram.rows[i][i] == 2 for i in range(nv))
     dyn_p = _dynkin_tag(unit_p, nabla, rank, 2 * nv - na)

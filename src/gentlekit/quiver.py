@@ -30,9 +30,8 @@ terminator, so text ending mid-statement is an error.
 
 import functools
 import re
+import sys
 from collections import namedtuple
-
-from .errors import InternalMismatch
 
 
 class QuiverSyntaxError(ValueError):
@@ -158,16 +157,17 @@ class BoundQuiver:
 
 
 _NAME = "[A-Za-z_][A-Za-z0-9_]*"
-# the form of each statement kind, for errors, and a regex for a statement
-# stripped of surrounding whitespace; \s and \d are Unicode, as the
-# whitespace that str.strip drops and the digits that int reads are
+# the form of each statement kind, for errors, a regex for a statement
+# stripped of surrounding whitespace and its groups of ids; \s and \d are
+# Unicode, as the whitespace that str.strip drops and the digits int reads
 _STATEMENTS = {
     "vertices": ("'vertices ID ID ...'",
-                 re.compile(r"vertices\s*(\d+(?:\s+\d+)*)")),
+                 re.compile(r"vertices\s*(\d+(?:\s+\d+)*)"), (1,)),
     "arrow": ("'arrow NAME: SOURCE -> TARGET'",
-              re.compile(r"arrow\s+(%s)\s*:\s*(\d+)\s*->\s*(\d+)" % _NAME)),
+              re.compile(r"arrow\s+(%s)\s*:\s*(\d+)\s*->\s*(\d+)" % _NAME),
+              (2, 3)),
     "rel": ("'rel NAME.NAME'",
-            re.compile(r"rel\s+(%s)\s*\.\s*(%s)" % (_NAME, _NAME))),
+            re.compile(r"rel\s+(%s)\s*\.\s*(%s)" % (_NAME, _NAME)), ()),
 }
 
 
@@ -176,6 +176,7 @@ def parse_quiver(text):
     the line and the column where the faulty statement starts, quotes it
     and gives the form its keyword expects."""
     found = {kw: [] for kw in _STATEMENTS}
+    max_digits = sys.get_int_max_str_digits()  # int()'s limit, 0 for none
     for ln, raw in enumerate(text.splitlines(keepends=True), start=1):
         line = raw.splitlines()[0]
         pieces = line.split("#", 1)[0].split(";")
@@ -197,12 +198,18 @@ def parse_quiver(text):
             if kw not in _STATEMENTS:
                 raise QuiverSyntaxError("expected 'vertices', 'arrow' or "
                                         "'rel', found %r" % stmt, ln, at)
-            form, regex = _STATEMENTS[kw]
+            form, regex, id_groups = _STATEMENTS[kw]
             m = regex.fullmatch(stmt)
             if not m:
                 raise QuiverSyntaxError("expected %s then ';' or a line "
                                         "break, found %r" % (form, stmt),
                                         ln, at)
+            for g in id_groups:
+                for d in re.finditer(r"\d+", m.group(g)):
+                    if max_digits and d.end() - d.start() > max_digits:
+                        raise QuiverSyntaxError(
+                            "id of more than %d digits" % max_digits,
+                            ln, at + m.start(g) + d.start())
             found[kw].append(m.groups())
     vertices = [v for (ids,) in found["vertices"] for v in ids.split()]
     return BoundQuiver(vertices, found["arrow"], found["rel"])
@@ -506,10 +513,7 @@ def string_functions(gq, direction):
     for name, (ti, t) in gq.permitted_pos.items():
         S[name] = sigma[(ti, t)]
         T[name] = -sigma[(ti, t - 1)]
-    pair = StringFunctionPair(S, T)
-    if not pair.check(gq.base):
-        raise InternalMismatch("constructed sign pair violates the constraints")
-    return pair
+    return StringFunctionPair(S, T)
 
 
 def load_gentle(text):

@@ -270,15 +270,25 @@ def ribbon_canonical_form(g):
 _ARRAY = (list, tuple)
 
 
+def load_json(data):
+    """JSON text parsed, or data itself when it is not text."""
+    if not isinstance(data, (str, bytes)):
+        return data
+    try:
+        return json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except ValueError:  # the one other kind: int() refusing too many digits
+        raise ValueError("JSON number too long") from None
+
+
 def ribbon_from_json(data):
     """Accepts a dict or JSON text with vertices (ordered half-edge ids,
     maximal first) and iota pairs; edge ids are assigned 1..E following the
     smaller half of each edge in (vertex order, position) order."""
-    if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+    data = load_json(data)
     try:
         vlist = data["vertices"]
         iota = data["iota"]

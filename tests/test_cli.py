@@ -276,6 +276,36 @@ def test_vertex_id_zero_is_input_error(capsys, tmp_path):
         from_ribbon(g)
 
 
+LONG = "1" * (sys.get_int_max_str_digits() + 700)
+
+
+@pytest.mark.parametrize("command,suffix,text,place", [
+    ("analyze", ".quiver", "vertices 1 2%s; arrow a1: 1 -> 2;\n" % LONG,
+     "(line 1, column 12)"),
+    ("roots", ".quiver", "vertices 1 2;\narrow a1: 1 -> \t%s;\n" % LONG,
+     "(line 2, column 17)"),
+    ("analyze", ".rgraph.json",
+     '{"vertices": [{"id": %s, "halfEdges": [1]}, {"id": 2, "halfEdges": [2]}],'
+     ' "iota": [[1, 2]]}' % LONG, "JSON number too long"),
+    ("brauer", ".brauer.json",
+     '{"vertices": [{"id": "u", "halfEdges": [1], "multiplicity": %s},'
+     ' {"id": "v", "halfEdges": [2]}], "iota": [[1, 2]]}' % LONG,
+     "JSON number too long"),
+], ids=["dsl-vertex", "dsl-arrow-target", "ribbon-json", "brauer-json"])
+def test_long_number_is_input_error(capsys, tmp_path, command, suffix, text,
+                                    place):
+    # int() refuses more than sys.get_int_max_str_digits() digits, and its
+    # own message names a Python setting instead of the place in the input
+    path = tmp_path / ("long" + suffix)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert place in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/no/such/file.quiver")
     assert code == 2

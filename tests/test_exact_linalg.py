@@ -361,6 +361,29 @@ def test_positive_definiteness_checks():
         short_vectors(IntMatrix([[2, 1], [0, 2]]), 0)
 
 
+def test_one_elimination_per_call(monkeypatch):
+    # rank, determinant and definiteness all read one Bareiss elimination
+    from gentlekit import exact_linalg
+    calls = []
+    bareiss = exact_linalg._bareiss
+    monkeypatch.setattr(exact_linalg, "_bareiss",
+                        lambda mat: calls.append(mat) or bareiss(mat))
+    a3 = IntMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    hyperbolic = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0],
+                            [0, 0, 0, 1], [0, 0, 1, 0]])
+    for fn, gram, expected in [
+            (rank_corank, a3, (3, 0)), (det, a3, 4),
+            (lambda g: len(short_vectors(g, 2)), a3, 6),
+            (rank_corank, hyperbolic, (4, 0)), (det, hyperbolic, 1)]:
+        calls.clear()
+        assert fn(gram) == expected
+        assert calls == [gram]
+    calls.clear()
+    with pytest.raises(ValueError, match="not positive definite"):
+        short_vectors(hyperbolic, 2)
+    assert calls == [hyperbolic]
+
+
 def _psd_by_char_poly(m):
     # det(zI - M) has no negative root iff (-1)^(n-k) c_k >= 0 for every
     # coefficient, since the c_k are signed elementary symmetric functions
@@ -457,7 +480,7 @@ def test_psd_matches_fraction_pivot_oracle(quivers):
 
 
 def test_polynomial_arithmetic():
-    z = IntPolynomial.monomial(1, 1)
+    z = IntPolynomial.monomial(1)
     one = IntPolynomial.const(1)
     p = (z - one) * (z + one)
     assert p.coeffs == (-1, 0, 1)

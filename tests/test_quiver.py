@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -151,6 +152,25 @@ def test_rejected_statement_is_quoted_with_its_place(text, message):
     with pytest.raises(QuiverSyntaxError) as info:
         parse_quiver(text)
     assert str(info.value) == message
+
+
+def test_overlong_ids_are_placed_and_long_names_kept():
+    # only ids go through int(), which refuses more digits than its limit
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    for text, place in [
+            ("vertices 1 %s 3;" % long, (1, 12)),
+            ("vertices" + "٣" * (limit + 1) + ";", (1, 9)),
+            ("vertices 1 2;\n arrow a1:%s->2;" % long, (2, 11)),
+            ("vertices 1 2;\narrow a1: 1 -> %s\n" % long, (2, 16))]:
+        with pytest.raises(QuiverSyntaxError) as info:
+            parse_quiver(text)
+        assert str(info.value) == ("id of more than %d digits (line %d, "
+                                   "column %d)" % ((limit,) + place))
+    name = "a" + long
+    q = parse_quiver("vertices 1; arrow %s: 1 -> 1; rel %s.%s;"
+                     % (name, name, name))
+    assert q.arrows[0].name == name
 
 
 @pytest.mark.parametrize("stmt", [
