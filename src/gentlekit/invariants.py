@@ -157,33 +157,27 @@ class AAGInvariant:
         return "AAGInvariant(%s)" % self
 
 
-def _threads_by(end, threads):
-    """Threads grouped by one end vertex; end is "source" or "target"."""
+def _pair_ends(left, right, end, end_arrow):
+    """Map each thread on the left to the thread on the right with the same
+    end vertex (end is "source" or "target") and a different end arrow.
+
+    With p(v) the permitted pairs of arrows through v, permitted threads
+    end at v in(v) - p(v) times on an arrow and 2 - in(v) - out(v) + p(v)
+    times trivially: 2 - out(v) times in all.  Forbidden threads, with
+    forbidden pairs, end there as often, and relation cycles have no end.
+    So two end at v only at a sink, where both kinds end on {a, b} or on
+    {a, None}, and exactly one candidate's end arrow differs.  Starts
+    mirror this at sources, 2 - in(v) of each kind.
+    """
     at = {}
-    for th in threads:
+    for th in right:
         at.setdefault(getattr(th, end), []).append(th)
-    return at
-
-
-def _match_at_vertex(v, left, right, end_arrow):
-    """Pair each thread on the left with the one on the right whose end
-    arrow at v differs; exactly one perfect matching may satisfy this."""
-    if len(left) != len(right):
-        raise InternalMismatch(
-            "%d vs %d thread ends at vertex %s" % (len(left), len(right), v))
-    if len(left) == 1:
-        return {id(left[0]): right[0]}
-    if len(left) != 2:
-        raise InternalMismatch("%d thread ends at vertex %s" % (len(left), v))
-    straight = (end_arrow(left[0]) != end_arrow(right[0])
-                and end_arrow(left[1]) != end_arrow(right[1]))
-    crossed = (end_arrow(left[0]) != end_arrow(right[1])
-               and end_arrow(left[1]) != end_arrow(right[0]))
-    if straight == crossed:
-        raise InternalMismatch("ambiguous thread pairing at vertex %s" % v)
-    if straight:
-        return {id(left[0]): right[0], id(left[1]): right[1]}
-    return {id(left[0]): right[1], id(left[1]): right[0]}
+    match = {}
+    for th in left:
+        cands = at[getattr(th, end)]
+        match[id(th)] = (cands[1] if len(cands) == 2
+                         and end_arrow(cands[0]) == end_arrow(th) else cands[0])
+    return match
 
 
 def _orbit_pairs(gq):
@@ -195,19 +189,10 @@ def _orbit_pairs(gq):
     orbits of the composite contribute (orbit size, total forbidden length).
     Relation cycles contribute (0, length) each.
     """
-    to_forb = {}
-    forb_by_t = _threads_by("target", gq.forbidden)
-    for v, perms in _threads_by("target", gq.permitted).items():
-        forbs = forb_by_t.get(v, [])
-        to_forb.update(_match_at_vertex(v, perms, forbs,
-                                        lambda th: th.terminating_arrow))
-    to_perm = {}
-    perm_by_s = _threads_by("source", gq.permitted)
-    for v, forbs in _threads_by("source", gq.forbidden).items():
-        perms = perm_by_s.get(v, [])
-        to_perm.update(_match_at_vertex(v, forbs, perms,
-                                        lambda th: th.initial_arrow))
-
+    to_forb = _pair_ends(gq.permitted, gq.forbidden, "target",
+                         lambda th: th.terminating_arrow)
+    to_perm = _pair_ends(gq.forbidden, gq.permitted, "source",
+                         lambda th: th.initial_arrow)
     # both maps are injective and total, so their composite permutes the
     # permitted threads
     pairs = [(len(orbit), sum(to_forb[id(th)].length for th in orbit))

@@ -330,10 +330,10 @@ def thread_centers(threads, vertices):
 
 
 def _successor_maps(q):
-    """Permitted / forbidden traversal successor and predecessor maps.
+    """Permitted / forbidden traversal successor maps.
 
     Raises GentlenessViolation, naming the first vertex or arrow that breaks
-    one of conditions (a)-(d), when some map would not be a function.
+    one of conditions (a)-(d), when a map or its inverse is not a function.
     """
     for v in q.vertices:
         if len(q.out_arrows[v]) > 2:
@@ -344,7 +344,7 @@ def _successor_maps(q):
             raise GentlenessViolation(
                 "vertex %d has %d incoming arrows (condition b)"
                 % (v, len(q.in_arrows[v])))
-    nxt_p, prv_p, nxt_f, prv_f = {}, {}, {}, {}
+    nxt_p, nxt_f = {}, {}
     for x in q.arrows:
         succ_p, prev_p, succ_f, prev_f = [], [], [], []
         for y in q.out_arrows[x.target]:
@@ -357,24 +357,24 @@ def _successor_maps(q):
         if len(succ_f) > 1 or len(prev_f) > 1:
             raise GentlenessViolation(
                 "arrow %s admits two related compositions (condition d)" % x.name)
-        for found, into in ((succ_p, nxt_p), (prev_p, prv_p),
-                            (succ_f, nxt_f), (prev_f, prv_f)):
+        for found, into in ((succ_p, nxt_p), (succ_f, nxt_f)):
             if found:
                 into[x.name] = found[0]
-    return nxt_p, prv_p, nxt_f, prv_f
+    return nxt_p, nxt_f
 
 
-def _chains(arrow_names, nxt, prv):
+def _chains(arrow_names, nxt):
     """Maximal chains and cycles of a partial successor map.
 
-    The map is injective with inverse prv, so chains start exactly at the
-    arrows with no predecessor, and the arrows no chain reaches form the
-    cycles.  Returns (chains, cycles), both in traversal order.
+    The map is injective by conditions (c) and (d), so chains start at the
+    arrows that are no value of it, and the arrows no chain reaches form
+    the cycles.  Returns (chains, cycles), both in traversal order.
     """
+    successors = set(nxt.values())
     chains = []
     placed = set()
     for start in arrow_names:
-        if start in prv:
+        if start in successors:
             continue
         chain = [start]
         while chain[-1] in nxt:
@@ -426,16 +426,16 @@ def validate_gentle(q):
 
     Raises GentlenessViolation or NotAdmissible; returns a GentleQuiver.
     """
-    nxt_p, prv_p, nxt_f, prv_f = _successor_maps(q)
+    nxt_p, nxt_f = _successor_maps(q)
     names = [a.name for a in q.arrows]
-    p_chains, p_cycles = _chains(names, nxt_p, prv_p)
+    p_chains, p_cycles = _chains(names, nxt_p)
     if p_cycles:
         raise NotAdmissible("unbounded repeatable cycle through arrows %s"
                             % " ".join(p_cycles[0]))
     perm_words = [_written(q, tr) for tr in p_chains]
     permitted = _sort_threads(q, perm_words, _trivial_vertices(q, nxt_p))
 
-    f_chains, f_cycles = _chains(names, nxt_f, prv_f)
+    f_chains, f_cycles = _chains(names, nxt_f)
     forb_words = [_written(q, tr) for tr in f_chains]
     forbidden = _sort_threads(q, forb_words, _trivial_vertices(q, nxt_f))
     full_cycles = []

@@ -8,9 +8,13 @@ whether the incoming half sits above or below the outgoing half in the
 vertex's chain; equal halves would mean backtracking, which is what
 "reduced" rules out.
 
-Anti-walks descend a chain step by step from a vertex's marked half-edge;
-faces are the orbits of the successor permutation on oriented edges, and a
+One face step, _next_oriented, writes after an edge the edge whose target
+half sits directly below the edge's source half, the bottom of a chain
+wrapping to its marked half (v, 0).  Faces are the orbits of that step, and
+anti-walks are its runs from a marked half down to the bottom of a chain; a
 non-full face is the chain of anti-walks of the marked halves it reaches.
+A face step has degree -1 exactly where it wraps, so a face's degree and
+its pair count the marked halves it reaches.
 """
 
 from .quiver import cycles
@@ -146,13 +150,6 @@ def deg_step(g, i, j):
     return 1 if sh[1] < th[1] else -1
 
 
-def _face_deg_step(g, i, j):
-    """Same, except a backtracking junction counts -1 (faces may backtrack)."""
-    if j == _inv(i):
-        return -1
-    return deg_step(g, i, j)
-
-
 def degree(w):
     """Sum of junction degrees; 0 for trivial and single-edge walks.
     deg_step raises NotReduced at a backtracking junction."""
@@ -220,47 +217,7 @@ def classify_walk(w):
     return "open"
 
 
-# --- anti-walks -----------------------------------------------------------
-
-
-def anti_walk(g, vertex_id):
-    """Greedy descent: start at the vertex's marked half and keep stepping
-    to the half directly below the current source half until it is minimal."""
-    vi = g.vid_index[vertex_id]
-    edges = [g.oriented_with_target((vi, 0))]
-    while True:
-        sh = g.s_half(edges[-1])
-        if sh[1] == g.counts[sh[0]] - 1:
-            break
-        edges.append(g.oriented_with_target((sh[0], sh[1] + 1)))
-    return Walk._trusted(g, tuple(edges))
-
-
-# --- faces ----------------------------------------------------------------
-
-
-class Face:
-    """One orbit of the successor permutation on oriented edges."""
-
-    __slots__ = ("walk", "is_full", "deg_closed")
-
-    def __init__(self, walk, is_full, deg_closed):
-        self.walk = walk
-        self.is_full = is_full
-        self.deg_closed = deg_closed
-
-    @property
-    def length(self):
-        return self.walk.length
-
-    @property
-    def pair(self):
-        # d sums ell junction degrees of +-1, so ell - d is even
-        ell, d = self.length, self.deg_closed
-        return ((ell - d) // 2, (ell + d) // 2)
-
-    def __repr__(self):
-        return "Face(%s%s)" % (self.walk.render(), ", full" if self.is_full else "")
+# --- anti-walks and faces -------------------------------------------------
 
 
 def _next_oriented(g, i):
@@ -268,30 +225,70 @@ def _next_oriented(g, i):
     return g.oriented_with_target(g.rho_inv(g.s_half(i)))
 
 
-def _canonical_rotation(edges):
-    """Rotation whose traversal-order reading is lexicographically least."""
-    def key(rot):
-        return tuple((e, 0 if s > 0 else 1)
-                     for e, s in reversed(rot))
-    n = len(edges)
-    best = min(range(n), key=lambda k: key(edges[k:] + edges[:k]))
-    return edges[best:] + edges[:best]
+def anti_walk(g, vertex_id):
+    """Face steps from the edge into the vertex's marked half, stopping
+    where the current source half is the bottom of its chain: the next step
+    would wrap to a marked half."""
+    vi = g.vid_index[vertex_id]
+    edges = [g.oriented_with_target((vi, 0))]
+    while True:
+        sh = g.s_half(edges[-1])
+        if sh[1] == g.counts[sh[0]] - 1:
+            break
+        edges.append(_next_oriented(g, edges[-1]))
+    return Walk._trusted(g, tuple(edges))
+
+
+class Face:
+    """One orbit of the face step, and the number n of marked halves
+    (v, 0) that it reaches as target halves.
+
+    A face step has degree -1 exactly where it wraps from the bottom of a
+    chain to a marked half, the backtracking step at a one-half vertex
+    included, and +1 everywhere else.  So a face of length L has degree
+    L - 2n and pair (n, L - n), and it is full when n is 0.
+    """
+
+    __slots__ = ("walk", "n")
+
+    def __init__(self, walk, n):
+        self.walk = walk
+        self.n = n
+
+    @property
+    def length(self):
+        return self.walk.length
+
+    @property
+    def is_full(self):
+        return self.n == 0
+
+    @property
+    def deg_closed(self):
+        return self.length - 2 * self.n
+
+    @property
+    def pair(self):
+        return (self.n, self.length - self.n)
+
+    def __repr__(self):
+        return "Face(%s%s)" % (self.walk.render(), ", full" if self.is_full else "")
 
 
 def faces(g):
     """All faces, each oriented edge appearing in exactly one of them.
 
-    A face is non-full when it reaches a marked half (v, 0) as a target
-    half; between consecutive marked halves it runs along the anti-walk of
-    the first one.  The rest are full.
+    Each face is written so that its reading in traversal order, an edge
+    (e, s) comparing as (e, -s), is least.  A face passes each oriented edge
+    once, so that reading starts at the face's least oriented edge, which
+    is written last.  Between consecutive marked halves a non-full face
+    runs along the anti-walk of the first one.
     """
     out = []
     for cyc in cycles(g.oriented_edges(), lambda i: _next_oriented(g, i)):
-        full = all(g.t_half(i)[1] != 0 for i in cyc)
-        canon = _canonical_rotation(cyc)
-        d = sum(_face_deg_step(g, canon[t], canon[(t + 1) % len(canon)])
-                for t in range(len(canon)))
-        out.append(Face(Walk._trusted(g, canon), full, d))
+        k = min(range(len(cyc)), key=lambda t: (cyc[t][0], -cyc[t][1])) + 1
+        n = sum(g.t_half(i)[1] == 0 for i in cyc)
+        out.append(Face(Walk._trusted(g, cyc[k:] + cyc[:k]), n))
     return out
 
 

@@ -262,6 +262,32 @@ def test_thread_positions_and_halves():
             assert halves == tuple(sorted(halves)), name
 
 
+def test_thread_ends_at_each_vertex(random_pool):
+    # permitted and forbidden threads alike end at v 2 - out(v) times and
+    # start there 2 - in(v) times; relation cycles have no end.  Two ends
+    # meet only at a sink (two starts only at a source), where both kinds
+    # carry the same two distinct end arrows, a trivial thread's None
+    # counting as one.  The orbit route pairs thread ends by this fact.
+    quivers = [load_fixture(name) for name in FIXTURE_NAMES]
+    quivers += [gq for _, gq in random_pool]
+    infinite = 0
+    for gq in quivers:
+        q = gq.base
+        infinite += not gq.global_dimension_finite
+        for v in q.vertices:
+            for end, arrow, want in (
+                    ("target", "terminating_arrow", 2 - len(q.out_arrows[v])),
+                    ("source", "initial_arrow", 2 - len(q.in_arrows[v]))):
+                arrows = [[getattr(th, arrow) for th in threads
+                           if getattr(th, end) == v]
+                          for threads in (gq.permitted, gq.forbidden)]
+                for a in arrows:
+                    assert len(a) == want and len(set(a)) == want, (q, v)
+                if want == 2:
+                    assert set(arrows[0]) == set(arrows[1]), (q, v)
+    assert infinite >= 50
+
+
 def test_cycles_of_successor_maps():
     # a permutation: each cycle starts at its first item in items order
     perm = {1: 3, 2: 5, 3: 4, 4: 1, 5: 2}

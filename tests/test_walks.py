@@ -214,6 +214,45 @@ def test_faces_frozen():
                    ("3 -2", (0, 2), True)]
 
 
+def _least_traversal_rotation(edges):
+    """The rotation whose reading in traversal order, last written edge
+    first, is least, an edge (e, s) comparing as (e, 0) for s = +1 and
+    (e, 1) for s = -1; found by trying every rotation."""
+    rotations = [edges[k:] + edges[:k] for k in range(len(edges))]
+    return min(rotations, key=lambda rot: [(e, 0 if s > 0 else 1)
+                                           for e, s in reversed(rot)])
+
+
+def test_faces_read_from_their_junctions():
+    # a face's degree is the sum of deg_step over its cyclic junctions, a
+    # backtracking junction (only at a one-half vertex) counting -1; its
+    # pair and fullness follow from that sum, and its walk is written in the
+    # rotation of least traversal reading
+    rng = random.Random(5)
+    kinds = ("any", "tree", "odd1cycle")
+    graphs = [_ribbon(name) for name in FIXTURE_NAMES]
+    graphs += [random_marked_ribbon_graph(rng, kind=kinds[k % 3])
+               for k in range(300)]
+    backtracks = 0
+    for g in graphs:
+        for f in faces(g):
+            e = f.walk.edges
+            ell = len(e)
+            d = 0
+            for t in range(ell):
+                i, j = e[t], e[(t + 1) % ell]
+                if j == (i[0], -i[1]):
+                    backtracks += 1
+                    d -= 1
+                else:
+                    d += deg_step(g, i, j)
+            assert f.deg_closed == d, f
+            assert f.pair == ((ell - d) // 2, (ell + d) // 2), f
+            assert f.is_full == (d == ell), f
+            assert e == _least_traversal_rotation(e), f
+    assert backtracks > 0
+
+
 def test_face_sums():
     # marked halves are hit once each, so the n components add up to |V|;
     # total face length covers every oriented edge once
