@@ -52,8 +52,9 @@ def brauer_cartan(bg):
     """Sum over vertices of multiplicity times the rank-one incidence block."""
     inc = incidence_matrix(bg.graph)
     n = len(bg.graph.vertices)
-    diag = IntMatrix([[bg.multiplicity[bg.graph.vertices[i]] if i == j else 0
-                       for j in range(n)] for i in range(n)])
+    diag = IntMatrix._trusted(
+        tuple(tuple(bg.multiplicity[bg.graph.vertices[i]] if i == j else 0
+                    for j in range(n)) for i in range(n)), n)
     return inc * diag * inc.transpose()
 
 

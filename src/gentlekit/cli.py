@@ -5,6 +5,9 @@ and writes nothing to stdout.  main alone writes stdout: the payload under
 --format json, else the renderer's text; a payload of None means the output
 ignores --format.  main also turns ValueError and OSError into exit 2 and
 InternalMismatch into exit 3, with one line on stderr and nothing on stdout.
+The JSON writer, _dump_json, gives the bytes of json.dumps(payload,
+indent=2, sort_keys=True) plus a newline in one pass, without the
+per-token generator that the stdlib encoder falls back to under indent.
 
 Exit codes: 0 success (or inconclusive comparison), 1 provable difference or
 failed property suite, 2 input/validation errors, 3 internal cross-check
@@ -43,7 +46,47 @@ def _load_quiver(path):
 
 
 def _dump_json(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) + "\n", byte for byte,
+    written in one pass into a list of parts that is joined once.
+
+    Dict keys must be str (TypeError otherwise).  Lists and tuples are
+    written alike; a list of plain ints (no bools) is joined in one go, and
+    every other leaf goes through json.dumps.
+    """
+    parts = []
+    write = parts.append
+
+    def emit(x, pad):
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(x, dict):
+            if not x:
+                write("{}")
+            else:
+                for k, key in enumerate(sorted(x)):
+                    if not isinstance(key, str):
+                        raise TypeError("JSON object keys must be str, not %s"
+                                        % type(key).__name__)
+                    write((sep if k else "{\n" + inner) + json.dumps(key)
+                          + ": ")
+                    emit(x[key], inner)
+                write("\n" + pad + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                write("[]")
+            elif set(map(type, x)) == {int}:
+                write("[\n" + inner + sep.join(map(str, x)) + "\n" + pad + "]")
+            else:
+                for k, v in enumerate(x):
+                    write(sep if k else "[\n" + inner)
+                    emit(v, inner)
+                write("\n" + pad + "]")
+        else:
+            write(json.dumps(x))
+
+    emit(data, "")
+    write("\n")
+    return "".join(parts)
 
 
 def _json(x):

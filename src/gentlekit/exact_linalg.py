@@ -3,7 +3,9 @@
 Everything in here works with arbitrary-precision ints.  No floats, ever:
 one fraction-free (Bareiss) elimination serves the rank, the determinant
 and the LDL^T decomposition behind the short-vector search, whose rows and
-weights are integers and whose pivots decide definiteness.
+weights are integers and whose pivots decide definiteness.  Its rows with a
+zero multiplier are rescaled, or skipped where the pivot ratio is 1, so
+sparse inputs such as incidence matrices cost little.
 The one place a Fraction can appear is a characteristic polynomial whose
 Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
@@ -47,7 +49,8 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n))
+                                  for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, cols):
@@ -126,7 +129,10 @@ def _bareiss(mat):
     Returns (rows, pivots, swaps).  pivots[k] is the minor on the first k
     rows, after the swaps, and the first k pivot columns, so pivots[0] = 1
     and there are rank + 1 of them.  Row k holds pivots[k + 1] and the
-    eliminated entries right of it.
+    eliminated entries right of it; entries left of a row's pivot, and
+    the pivot column below it, are left as they stand.  A row whose
+    multiplier is 0 is only rescaled by pivot / previous pivot, and is
+    skipped when that ratio is 1.
     """
     a = [list(r) for r in mat.rows]
     n, m = mat.nrows, mat.ncols
@@ -146,11 +152,19 @@ def _bareiss(mat):
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
             swaps += 1
-        p = a[row][col]
+        top = a[row]
+        p = top[col]
         prev = pivots[-1]
+        rest = range(col + 1, m)
         for i in range(row + 1, n):
-            for j in range(col + 1, m):
-                a[i][j] = (p * a[i][j] - a[i][col] * a[row][j]) // prev
+            r = a[i]
+            f = r[col]
+            if f:
+                for j in rest:
+                    r[j] = (p * r[j] - f * top[j]) // prev
+            elif p != prev:
+                for j in rest:
+                    r[j] = p * r[j] // prev
         pivots.append(p)
         row += 1
     return a, pivots, swaps

@@ -87,7 +87,10 @@ def euler_analysis(gq):
     global dimension, in the simples basis, with rank and Dynkin data.
 
     Both Gram matrices are built as B B^tr from an incidence matrix B, so
-    they are non-negative: x^tr B B^tr x = |B^tr x|^2.
+    they are non-negative: x^tr B B^tr x = |B^tr x|^2.  The same identity
+    gives B B^tr x = 0 exactly when B^tr x = 0, so the rank is read off
+    B^tr, one row per graph vertex and at most two nonzeros per column,
+    and not off the dense Gram matrix.
     """
     nv = len(gq.vertices)
     na = len(gq.arrows)
@@ -101,7 +104,7 @@ def euler_analysis(gq):
     nabla = 1 if is_bipartite(g) else 0
     if nabla != multi_clock(gq):
         raise InternalMismatch("bipartiteness and direction parity disagree")
-    rank, corank = rank_corank(gram)
+    rank, corank = rank_corank(inc.transpose())
     if corank != na - nv + nabla:
         raise InternalMismatch("corank off the predicted value")
 

@@ -463,7 +463,7 @@ def cartan_matrix(gq):
             for b in range(a + 1, ell + 1):
                 # written subword arrows[a:b] runs from vertices[b] to vertices[a]
                 c[idx[th.vertices[a]]][idx[th.vertices[b]]] += 1
-    return IntMatrix(c)
+    return IntMatrix._trusted(tuple(map(tuple, c)), n)
 
 
 class StringFunctionPair:

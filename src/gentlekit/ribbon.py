@@ -137,7 +137,7 @@ def incidence_matrix(g, sigma=None):
         for h in g.edge_halves[e]:
             row[h[0]] += 1 if sigma is None else sigma[h]
         rows.append(row)
-    return IntMatrix(rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows)), len(g.vertices))
 
 
 def is_bipartite(g):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import gentlekit
 from gentlekit import from_ribbon, invariants, to_ribbon
-from gentlekit.cli import build_parser, main
+from gentlekit.cli import _dump_json, build_parser, main
 from gentlekit.derived import ar_translate, k0_class
 from gentlekit.ribbon import RibbonGraph
 from gentlekit.walks import enumerate_reduced_walks
@@ -51,6 +52,55 @@ def test_analyze_json_deterministic(capsys):
     assert fp["numGEdges"] == 5
     assert fp["detCartan"] == 1
     assert data["coxeter"]["poly"] == [1, -1, 0, 0, -1, 1]
+
+
+# text that stresses string escaping: quotes, backslashes, control
+# characters, non-ASCII letters and a character outside the BMP
+TRICKY_TEXT = ('', 'a', '"q"', 'back\\slash', 'tab\there', 'nl\n', '\x00\x1f\x7f',
+               'caf\u00e9', '\u2200x', '\U0001d11e', '</script>', ' ')
+
+
+def _random_leaf(rng):
+    return rng.choice((
+        lambda: rng.randint(-5, 5),
+        lambda: rng.choice((-1, 1)) * rng.randrange(2 ** 64, 2 ** 70),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((0.5, -2.25, 1e300)),
+        lambda: rng.choice(TRICKY_TEXT),
+    ))()
+
+
+def _random_payload(rng, depth):
+    kind = rng.randrange(6) if depth else 5
+    if kind == 0:
+        return {rng.choice(TRICKY_TEXT) + str(rng.randrange(4)):
+                _random_payload(rng, depth - 1) for _ in range(rng.randrange(5))}
+    if kind == 1:
+        seq = [_random_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
+        return tuple(seq) if rng.random() < 0.3 else seq
+    if kind == 2:
+        # int rows, some mixed with a bool, which JSON writes differently
+        row = [rng.randint(-10, 10 ** rng.randrange(1, 25))
+               for _ in range(rng.randrange(6))]
+        if row and rng.random() < 0.3:
+            row[rng.randrange(len(row))] = rng.choice((True, False))
+        return tuple(row) if rng.random() < 0.3 else row
+    if kind == 3:
+        return [[rng.randint(-3, 3) for _ in range(3)]
+                for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return rng.choice(({}, [], (), [[]], {"": {}}))
+    return _random_leaf(rng)
+
+
+def test_json_writer_matches_stdlib():
+    rng = random.Random(41)
+    for _ in range(500):
+        data = _random_payload(rng, rng.randrange(1, 6))
+        assert _dump_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    for key in (1, None, 2.5, True):
+        with pytest.raises(TypeError):
+            _dump_json({"a": [{key: 1}]})
 
 
 def test_analyze_dot(capsys):

@@ -85,6 +85,19 @@ def test_cli_output_is_unchanged(argv, golden):
     assert stdout == want["stdout"]
 
 
+# analyze --dot and selftest print text under either format
+JSON_CASES = [a for a in cases()
+              if a[-1] == "json" and "--dot" not in a and a[0] != "selftest"]
+
+
+@pytest.mark.parametrize("argv", JSON_CASES, ids=key)
+def test_json_golden_is_the_stdlib_encoding(argv, golden):
+    # ties the recorded JSON to the stdlib encoder, so a writer that drifts
+    # from it cannot be re-recorded into this file unnoticed
+    out = golden[key(argv)]["stdout"]
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def record():
     data = {}
     for argv in cases():

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from gentlekit import random_marked_ribbon_graph
+from gentlekit import (cartan_matrix, forbidden_ribbon, incidence_matrix,
+                       random_marked_ribbon_graph, to_ribbon)
 from gentlekit.brauer import BrauerGraph, brauer_cartan
 from gentlekit.exact_linalg import (
     IntMatrix,
     IntPolynomial,
     NotSquare,
     OddValue,
+    _bareiss,
     char_poly,
     det,
     qform_eval,
@@ -254,6 +256,25 @@ def test_derived_matrices_pass_outside_validation():
         _assert_passes_outside_check(r)
 
 
+def test_built_matrices_pass_outside_validation(quivers):
+    # Cartan, incidence, identity and Brauer Cartan matrices are built from
+    # ints and skip the constructor's checks too
+    rng = random.Random(5)
+    built = [IntMatrix.identity(n) for n in range(4)]
+    for gq in quivers.values():
+        built += [cartan_matrix(gq), incidence_matrix(to_ribbon(gq))]
+        if gq.global_dimension_finite:
+            fr = forbidden_ribbon(gq)
+            built.append(incidence_matrix(fr.graph, fr.sigma_hat))
+    for _ in range(30):
+        g = random_marked_ribbon_graph(rng)
+        mult = {v: rng.randint(1, 4) for v in g.vertices}
+        built += [incidence_matrix(g), brauer_cartan(BrauerGraph(g, mult))]
+    for m in built:
+        _assert_passes_outside_check(m)
+    assert IntMatrix.identity(3).to_lists() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_products_match_written_out_loops():
     rng = random.Random(23)
     pairs = []
@@ -382,6 +403,93 @@ def test_one_elimination_per_call(monkeypatch):
     with pytest.raises(ValueError, match="not positive definite"):
         short_vectors(hyperbolic, 2)
     assert calls == [hyperbolic]
+
+
+def _bareiss_reference(mat):
+    """The elimination written out in full: every entry right of the pivot
+    in every lower row is recomputed, whatever its multiplier."""
+    a = [list(r) for r in mat.rows]
+    n, m = mat.nrows, mat.ncols
+    pivots = [1]
+    swaps = 0
+    row = 0
+    for col in range(m):
+        if row == n:
+            break
+        piv = None
+        for i in range(row, n):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            swaps += 1
+        p = a[row][col]
+        prev = pivots[-1]
+        for i in range(row + 1, n):
+            for j in range(col + 1, m):
+                a[i][j] = (p * a[i][j] - a[i][col] * a[row][j]) // prev
+        pivots.append(p)
+        row += 1
+    return a, pivots, swaps
+
+
+def _shaped(rows, m):
+    # IntMatrix(rows) keeps no column count without rows; a transpose does
+    return IntMatrix(rows) if rows else IntMatrix([[]] * m).transpose()
+
+
+def test_bareiss_matches_the_full_loop(quivers):
+    # the elimination that skips zero multipliers returns the rows, pivots
+    # and swap count of the full loop, entries left of the pivots included
+    rng = random.Random(71)
+    cases = []
+    for n in range(13):
+        for m in range(13):
+            for density in (1.0, 0.5, 0.2) * 2:
+                cases.append(_shaped(_random_rows(rng, n, m, density), m))
+    for _ in range(300):
+        # rank at most k < min(n, m), then a few columns zeroed
+        n, m = rng.randint(2, 12), rng.randint(2, 12)
+        k = rng.randint(1, min(n, m) - 1)
+        b = IntMatrix(_random_rows(rng, n, k, 0.7))
+        c = IntMatrix(_random_rows(rng, k, m, 0.7))
+        zero = set(rng.sample(range(m), rng.randint(0, m // 2)))
+        cases.append(IntMatrix([[0 if j in zero else x for j, x in enumerate(r)]
+                                for r in (b * c).rows]))
+    for _ in range(300):
+        # a zero top-left corner forces swaps
+        n, m = rng.randint(2, 10), rng.randint(1, 10)
+        rows = _random_rows(rng, n, m, 0.6)
+        for i in range(rng.randint(1, n - 1)):
+            rows[i][0] = 0
+        rows[-1][0] = rng.choice((-2, -1, 1, 3))
+        cases.append(IntMatrix(rows))
+    for _ in range(800):
+        # Brauer-like vertex-by-edge incidence: 0/1/2, at most two per column
+        n, m = rng.randint(3, 8), rng.randint(2, 11)
+        cols = []
+        for _ in range(m):
+            u, v = rng.randrange(n), rng.randrange(n)
+            cols.append([(i == u) + (i == v) for i in range(n)])
+        cases.append(IntMatrix.from_columns(cols))
+    for k in range(600):
+        g = random_marked_ribbon_graph(rng, kind=("any", "tree", "odd1cycle")[k % 3])
+        cases.append(incidence_matrix(g).transpose())
+    for gq in quivers.values():
+        c = cartan_matrix(gq)
+        cases += [c, c + c.transpose(), incidence_matrix(to_ribbon(gq)).transpose()]
+    seen = {"swaps": 0, "singular": 0, "zero column": 0}
+    for mat in cases:
+        got = _bareiss(mat)
+        assert got == _bareiss_reference(mat), mat
+        seen["swaps"] += got[2] > 0
+        seen["singular"] += len(got[1]) - 1 < min(mat.shape)
+        seen["zero column"] += any(not any(col) for col in zip(*mat.rows))
+    assert len(cases) >= 3000
+    assert min(seen.values()) >= 300, seen
 
 
 def _psd_by_char_poly(m):

@@ -10,12 +10,14 @@ from gentlekit import (
     InternalMismatch,
     anti_walk,
     cartan_matrix,
+    det,
     from_ribbon,
     incidence_matrix,
     incidence_vector,
     is_bipartite,
     load_gentle,
     random_marked_ribbon_graph,
+    rank_corank,
     to_ribbon,
 )
 from gentlekit import invariants
@@ -296,3 +298,26 @@ def test_large_random_identity_sweep():
         assert len(poly.coeffs) - 1 == nv
         assert_implied_identities(gq)
     assert max(sizes) >= 35 and sum(n >= 20 for n in sizes) >= 20
+
+
+def test_cartan_determinant_and_gram_rank_on_random_quivers(quivers):
+    # Holm, Cartan determinants for gentle algebras (Arch. Math. 85, 2005):
+    # det C is the product of 1 - (-1)^m over the AAG pairs (0, m), each to
+    # its multiplicity.  The Gram matrix C + C^tr = B B^tr has the rank of
+    # B^tr, which euler_analysis reads.
+    rng = random.Random(3)
+    kinds = ("any", "tree", "odd1cycle")
+    gqs = [from_ribbon(random_marked_ribbon_graph(rng, kind=kinds[k % 3]))
+           for k in range(1500)]
+    dets = set()
+    for gq in gqs + list(quivers.values()):
+        c = cartan_matrix(gq)
+        holm = 1
+        for (n, m), mult in aag_invariant(gq).pairs.items():
+            if n == 0:
+                holm *= (1 - (-1) ** m) ** mult
+        assert det(c) == holm, gq
+        dets.add(holm)
+        inc = incidence_matrix(to_ribbon(gq))
+        assert rank_corank(inc.transpose()) == rank_corank(c + c.transpose())
+    assert dets == {0, 1, 2, 4, 8}, dets
