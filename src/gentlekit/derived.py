@@ -12,12 +12,14 @@ almost split triangles are read off the extensions of a walk by anti-walks.
 
 from collections import Counter
 from itertools import accumulate
+from operator import mul
 
 from .errors import BoundTooLarge, InternalMismatch, TrivialInput
-from .exact_linalg import qform_eval, short_vectors
-from .invariants import euler_analysis
+from .exact_linalg import short_vectors
+from .invariants import _anti_walks, euler_analysis
+from .quiver import per_quiver
 from .ribbon import to_ribbon
-from .walks import (NotReduced, Walk, _successors, anti_walk, classify_walk,
+from .walks import (NotReduced, Walk, _successors, classify_walk,
                     connecting_path, incidence_vector, reduced_concat)
 
 
@@ -81,15 +83,18 @@ def build_string_complex(gq, m, w):
     """The complex of (m, w); a trivial walk gives the zero complex.  A
     nontrivial walk must live on to_ribbon(gq), or a graph equal to it, and
     be reduced: a backtracking junction raises NotReduced.  Both checks run
-    here, so reading terms and maps later raises nothing."""
+    here, so reading terms and maps later raises nothing.  The complex's
+    walk lives on to_ribbon(gq): a walk on an equal graph is moved there."""
     if not w.trivial:
         g = to_ribbon(gq)
-        # junction steps are chain positions, so the walk must live on the
-        # graph rebuilt from the quiver, not merely an isomorphic copy
-        if w.graph is not g and (w.graph.vertices != g.vertices
-                                 or w.graph.edge_halves != g.edge_halves):
-            raise ValueError("walk graph does not match the quiver's own "
-                             "graph; take walks on to_ribbon(gq)")
+        if w.graph is not g:
+            # junction steps are chain positions, so the walk must live on
+            # the graph rebuilt from the quiver, not merely an isomorphic copy
+            if (w.graph.vertices != g.vertices
+                    or w.graph.edge_halves != g.edge_halves):
+                raise ValueError("walk graph does not match the quiver's own "
+                                 "graph; take walks on to_ribbon(gq)")
+            w = Walk._trusted(g, w.edges)
         if not w.reduced:
             raise NotReduced("backtracking junction")
     return StringComplex(gq, m, w)
@@ -136,13 +141,46 @@ _ROOT_NOTES = {
 }
 
 
+_ROOT_TAGS = {0: "0-root", 1: "1-root", 2: "2-root"}
+
+
 def root_tag(value):
     """The root tag of a value of the Euler form q."""
-    return {0: "0-root", 1: "1-root", 2: "2-root"}.get(value, "other")
+    return _ROOT_TAGS.get(value, "other")
+
+
+@per_quiver
+def _edge_ends(gq):
+    """The vertex count of to_ribbon(gq) and the two end vertex indices of
+    each of its edges, in edge order: the nonzero columns of each row of
+    its incidence matrix B, a loop's one column listed twice."""
+    g = to_ribbon(gq)
+    return len(g.vertices), tuple((tgt[0], src[0])
+                                  for tgt, src in map(g.edge_halves.get, g.edges))
 
 
 def root_classify(gq, x):
-    val = qform_eval(euler_analysis(gq).gramProjectives, x)
+    """q(x) and its root tag, for x in the projectives basis.
+
+    q is read off y = B^tr x, with B the edge-by-vertex incidence matrix of
+    to_ribbon(gq): each entry of x adds to the entries of y at its edge's
+    two ends, twice at a loop's one end, and q(x) = |y|^2 / 2.  That costs
+    one pass over x and one over y.  It is exact because euler_analysis,
+    called here, checks that the Gram matrix C + C^tr is B B^tr.  The Gram
+    matrix route, qform_eval, stays the independent one: cli._check_one
+    compares it with walk_q_value on every walk it checks.
+    """
+    euler_analysis(gq)      # checks C + C^tr = B B^tr
+    nv, ends = _edge_ends(gq)
+    if len(x) != len(ends):
+        raise ValueError("vector length %d != %d quiver vertices"
+                         % (len(x), len(ends)))
+    y = [0] * nv
+    for (u, v), xi in zip(ends, x):
+        if xi:
+            y[u] += xi
+            y[v] += xi
+    val = sum(map(mul, y, y)) // 2
     tag = root_tag(val)
     return RootClassification(val, tag, _ROOT_NOTES[tag])
 
@@ -290,14 +328,16 @@ def ar_translate(gq, m, w):
     nontrivial walk checked by build_string_complex.  w is extended on the
     left by the inverse anti-walk at its target, whose length less two is
     the shift, on the right by the anti-walk at its source, and on both
-    sides.  The extensions are reduced walks on w.graph by construction,
-    so their complexes skip the checks."""
+    sides.  The anti-walks come from the quiver's table and, like the start
+    complex's walk, live on to_ribbon(gq).  The extensions are reduced walks
+    on that graph by construction, so their complexes skip the checks."""
     if w.trivial:
         raise TrivialInput("translation extensions need a nontrivial walk")
     start = build_string_complex(gq, m, w)
-    g = w.graph
-    to_target = anti_walk(g, w.target_vertex).inverse()
-    at_source = anti_walk(g, w.source_vertex)
+    w = start.walk
+    aw = _anti_walks(gq)
+    to_target = aw[w.target_vertex][1]
+    at_source = aw[w.source_vertex][0]
     left = reduced_concat(to_target, w)
     right = reduced_concat(w, at_source)
     both = reduced_concat(left, at_source)

@@ -24,6 +24,18 @@ def ribbon_faces(gq):
     return faces(to_ribbon(gq))
 
 
+@per_quiver
+def _anti_walks(gq):
+    """The anti-walk at each vertex of to_ribbon(gq), and its inverse, in
+    vertex order, computed once per quiver."""
+    g = to_ribbon(gq)
+    table = {}
+    for v in g.vertices:
+        w = anti_walk(g, v)
+        table[v] = (w, w.inverse())
+    return table
+
+
 @dataclass(frozen=True)
 class EulerAnalysis:
     gramProjectives: IntMatrix
@@ -236,11 +248,15 @@ def coxeter(gq):
     c = cartan_matrix(gq)
     g = to_ribbon(gq)
     j_hat = IntMatrix.from_columns(
-        [incidence_vector(anti_walk(g, v)) for v in g.vertices])
-    if c.transpose() * j_hat != incidence_matrix(g):
+        [incidence_vector(w) for w, _ in _anti_walks(gq).values()])
+    c_tr = c.transpose()
+    if c_tr * j_hat != incidence_matrix(g):
         raise InternalMismatch("anti-walk matrix fails the incidence identity")
     n = len(gq.vertices)
-    psi = IntMatrix.identity(n) - j_hat * j_hat.transpose() * c.transpose()
+    # J has one sparse anti-walk column per graph vertex, so J (J^tr C^tr)
+    # is two sparse products, where (J J^tr) C^tr multiplies a dense n x n
+    # matrix by C^tr
+    psi = IntMatrix.identity(n) - j_hat * (j_hat.transpose() * c_tr)
 
     poly = char_poly(psi)
     aag = aag_invariant(gq)

@@ -10,6 +10,7 @@ run of arrows with relations between consecutive chains.
 """
 
 import json
+from functools import cached_property
 
 from .errors import InfiniteGlobalDimension
 from .quiver import (BoundQuiver, connected, per_quiver, thread_centers,
@@ -99,11 +100,24 @@ class RibbonGraph:
         tgt, src = self.edge_halves[e]
         return src if s > 0 else tgt
 
+    # walk ends, one lookup each; built on first use, not in __init__, since
+    # many graphs, every Brauer graph among them, are never walked
+    @cached_property
+    def _t_vertex_of(self):
+        """The target vertex id of each oriented edge."""
+        return {oe: self.z(self.t_half(oe)) for oe in self.oriented_edges()}
+
+    @cached_property
+    def _s_vertex_of(self):
+        """The source vertex id of each oriented edge: the target of its
+        reverse."""
+        return {(e, -s): v for (e, s), v in self._t_vertex_of.items()}
+
     def t_vertex(self, oe):
-        return self.z(self.t_half(oe))
+        return self._t_vertex_of[oe]
 
     def s_vertex(self, oe):
-        return self.z(self.s_half(oe))
+        return self._s_vertex_of[oe]
 
     def oriented_edges(self):
         out = []

@@ -75,15 +75,11 @@ class Walk:
 
     @property
     def source_vertex(self):
-        if self.trivial:
-            return self.base
-        return self.graph.s_vertex(self.edges[-1])
+        return self.graph.s_vertex(self.edges[-1]) if self.edges else self.base
 
     @property
     def target_vertex(self):
-        if self.trivial:
-            return self.base
-        return self.graph.t_vertex(self.edges[0])
+        return self.graph.t_vertex(self.edges[0]) if self.edges else self.base
 
     @property
     def closed(self):
@@ -303,11 +299,11 @@ def reduced_concat(w1, w2):
         raise NotConcatenable("source of the left walk is %s, target of the "
                               "right walk is %s" % (w1.source_vertex,
                                                     w2.target_vertex))
-    if w1.trivial:
+    e1, e2 = w1.edges, w2.edges
+    if not e1:
         return w2
-    if w2.trivial:
+    if not e2:
         return w1
-    e1, e2 = list(w1.edges), list(w2.edges)
     k = 0
     while (k < len(e1) and k < len(e2)
            and e1[len(e1) - 1 - k] == _inv(e2[k])):
@@ -315,7 +311,7 @@ def reduced_concat(w1, w2):
     rest = e1[:len(e1) - k] + e2[k:]
     if not rest:
         return trivial_walk(w1.graph, w1.target_vertex)
-    return Walk._trusted(w1.graph, tuple(rest))
+    return Walk._trusted(w1.graph, rest)
 
 
 # --- enumeration -----------------------------------------------------------

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from gentlekit import (RibbonGraph, derived, from_ribbon,
-                       random_marked_ribbon_graph, to_ribbon, walks)
+from gentlekit import (RibbonGraph, derived, exact_linalg, from_ribbon,
+                       invariants, random_marked_ribbon_graph, to_ribbon,
+                       walks)
 from gentlekit.derived import (
     BandComplex,
     ar_translate,
@@ -74,6 +75,7 @@ def test_walks_on_equal_graphs_build_complexes():
         x = build_string_complex(gq, 0, w)
         y = build_string_complex(gq, 0, parse_walk(g, w.render()))
         assert (x.terms, x.maps) == (y.terms, y.maps), w.render()
+        assert x.walk.graph is g
     i = g.counts.index(max(g.counts))
     swap = {(i, 0): (i, 1), (i, 1): (i, 0)}
     remarked = RibbonGraph(g.vertices, g.counts,
@@ -84,6 +86,12 @@ def test_walks_on_equal_graphs_build_complexes():
     for w in walks:
         with pytest.raises(ValueError):
             build_string_complex(gq, 0, w)
+    # triangles over walks on the equal graph match those on g itself
+    for w in enumerate_reduced_walks(same, 2):
+        x = ar_translate(gq, 0, w)
+        y = ar_translate(gq, 0, parse_walk(g, w.render()))
+        assert ([(s.m, s.walk.render()) for s in (x.start, *x.middle, x.end)]
+                == [(s.m, s.walk.render()) for s in (y.start, *y.middle, y.end)])
 
 
 def test_trivial_walk_gives_zero_complex():
@@ -194,6 +202,30 @@ def test_root_classify_tags():
     assert (rc.value, rc.tag) == (2, "2-root")
 
 
+def _random_vectors(rng, n, count):
+    """The zero vector, then random integer vectors of length n."""
+    return [(0,) * n] + [tuple(rng.randint(-3, 3) for _ in range(n))
+                         for _ in range(count)]
+
+
+def test_root_classify_matches_the_gram_route(random_pool):
+    # q read off B^tr x against x^tr (C + C^tr) x / 2, on arbitrary vectors;
+    # counting a loop's edge once at its vertex fails on the loop fixture
+    rng = random.Random(20261019)
+    cases = [(name, load_fixture(name)) for name in FIXTURE_NAMES]
+    cases += [("random %d" % k, gq) for k, (_, gq) in enumerate(random_pool)]
+    for name, gq in cases:
+        gram = euler_analysis(gq).gramProjectives
+        n = len(gq.vertices)
+        for x in _random_vectors(rng, n, 20 if name in FIXTURE_NAMES else 3):
+            rc = root_classify(gq, x)
+            assert rc.value == qform_eval(gram, x), (name, x)
+            assert rc.tag == root_tag(rc.value)
+        for bad in ((0,) * (n - 1), (0,) * (n + 1)):
+            with pytest.raises(ValueError):
+                root_classify(gq, bad)
+
+
 def test_loop_odd_powers_are_two_roots():
     gq, g = _pair("loop")
     for t in (1, 3, 5):
@@ -266,10 +298,40 @@ def test_perfect_classes_need_no_form_arithmetic(monkeypatch):
         raise AssertionError("called during class enumeration")
 
     expected = {name: snapshot(name) for name in FIXTURE_NAMES}
-    monkeypatch.setattr(derived, "qform_eval", forbidden)
+    # derived imports no qform_eval: root_classify reads q off B^tr x
+    monkeypatch.setattr(exact_linalg, "qform_eval", forbidden)
     monkeypatch.setattr(derived, "incidence_vector", forbidden)
     for name in FIXTURE_NAMES:
         assert snapshot(name) == expected[name], name
+
+
+def test_walk_class_path_builds_each_artefact_once(monkeypatch):
+    # over the triangles of all reduced walks up to length 3, ar_translate
+    # and coxeter build each anti-walk once per quiver, and root_classify
+    # does no Gram matrix arithmetic
+    calls = []
+    original = walks.anti_walk
+
+    def counted(g, vertex_id):
+        calls.append(vertex_id)
+        return original(g, vertex_id)
+
+    def forbidden(*args):
+        raise AssertionError("qform_eval called by root_classify")
+
+    for module in (walks, invariants, derived):
+        monkeypatch.setattr(module, "anti_walk", counted, raising=False)
+    monkeypatch.setattr(exact_linalg, "qform_eval", forbidden)
+    for name in FIXTURE_NAMES:
+        gq = load_fixture(name)
+        g = to_ribbon(gq)
+        calls.clear()
+        coxeter(gq)
+        for w in enumerate_reduced_walks(g, 3):
+            tri = ar_translate(gq, 0, w)
+            root_classify(gq, k0_class(tri.start))
+            root_classify(gq, k0_class(tri.end))
+        assert sorted(calls) == sorted(g.vertices), name
 
 
 def _quiver_with_edges(rng, kind, n):

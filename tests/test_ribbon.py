@@ -21,6 +21,7 @@ from gentlekit.cli import main
 from gentlekit.errors import InfiniteGlobalDimension
 from gentlekit.quiver import QuiverStructureError
 from gentlekit.ribbon import quiver_canonical_form
+from gentlekit.walks import trivial_walk
 
 from conftest import FIXTURE_NAMES, load_fixture
 
@@ -156,6 +157,20 @@ def test_random_graphs_have_a_vertex_of_degree_two():
         for k in range(10000):
             g = random_marked_ribbon_graph(rng, kind, max_vertices=1 + k % 8)
             assert max(g.counts) >= 2, (kind, k)
+
+
+def test_walk_end_tables_match_the_halves():
+    rng = random.Random(20261019)
+    kinds = ("any", "tree", "odd1cycle")
+    for k in range(200):
+        g = random_marked_ribbon_graph(rng, kind=kinds[k % 3])
+        for oe in g.oriented_edges():
+            assert g.t_vertex(oe) == g.z(g.t_half(oe)), (k, oe)
+            assert g.s_vertex(oe) == g.z(g.s_half(oe)), (k, oe)
+        for v in g.vertices:
+            w = trivial_walk(g, v)
+            assert w.source_vertex == w.target_vertex == v
+            assert w.closed
 
 
 def test_constructor_rejects_bad_pairings():
