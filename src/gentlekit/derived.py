@@ -83,18 +83,15 @@ def build_string_complex(gq, m, w):
     """The complex of (m, w); a trivial walk gives the zero complex.  A
     nontrivial walk must live on to_ribbon(gq), or a graph equal to it, and
     be reduced: a backtracking junction raises NotReduced.  Both checks run
-    here, so reading terms and maps later raises nothing.  The complex's
-    walk lives on to_ribbon(gq): a walk on an equal graph is moved there."""
+    here, so reading terms and maps later raises nothing."""
     if not w.trivial:
         g = to_ribbon(gq)
-        if w.graph is not g:
-            # junction steps are chain positions, so the walk must live on
-            # the graph rebuilt from the quiver, not merely an isomorphic copy
-            if (w.graph.vertices != g.vertices
-                    or w.graph.edge_halves != g.edge_halves):
-                raise ValueError("walk graph does not match the quiver's own "
-                                 "graph; take walks on to_ribbon(gq)")
-            w = Walk._trusted(g, w.edges)
+        # junction steps are chain positions, so the walk must live on the
+        # graph rebuilt from the quiver, not merely an isomorphic copy
+        if w.graph is not g and (w.graph.vertices != g.vertices
+                                 or w.graph.edge_halves != g.edge_halves):
+            raise ValueError("walk graph does not match the quiver's own "
+                             "graph; take walks on to_ribbon(gq)")
         if not w.reduced:
             raise NotReduced("backtracking junction")
     return StringComplex(gq, m, w)
@@ -149,16 +146,6 @@ def root_tag(value):
     return _ROOT_TAGS.get(value, "other")
 
 
-@per_quiver
-def _edge_ends(gq):
-    """The vertex count of to_ribbon(gq) and the two end vertex indices of
-    each of its edges, in edge order: the nonzero columns of each row of
-    its incidence matrix B, a loop's one column listed twice."""
-    g = to_ribbon(gq)
-    return len(g.vertices), tuple((tgt[0], src[0])
-                                  for tgt, src in map(g.edge_halves.get, g.edges))
-
-
 def root_classify(gq, x):
     """q(x) and its root tag, for x in the projectives basis.
 
@@ -171,11 +158,14 @@ def root_classify(gq, x):
     compares it with walk_q_value on every walk it checks.
     """
     euler_analysis(gq)      # checks C + C^tr = B B^tr
-    nv, ends = _edge_ends(gq)
+    g = to_ribbon(gq)
+    # the two end vertex indices of each edge: the nonzero columns of its
+    # row of B, a loop's one column listed twice
+    ends = g._edge_ends
     if len(x) != len(ends):
         raise ValueError("vector length %d != %d quiver vertices"
                          % (len(x), len(ends)))
-    y = [0] * nv
+    y = [0] * len(g.vertices)
     for (u, v), xi in zip(ends, x):
         if xi:
             y[u] += xi
@@ -308,6 +298,12 @@ def enumerate_perfect_classes(gq, max_len):
 # --- Auslander-Reiten translation -------------------------------------------
 
 
+@per_quiver
+def _inverse_anti_walks(gq):
+    """The inverse of the anti-walk at each vertex of to_ribbon(gq)."""
+    return {v: w.inverse() for v, w in _anti_walks(gq).items()}
+
+
 class ARTriangle:
     __slots__ = ("start", "middle", "end", "shift")
 
@@ -328,16 +324,20 @@ def ar_translate(gq, m, w):
     nontrivial walk checked by build_string_complex.  w is extended on the
     left by the inverse anti-walk at its target, whose length less two is
     the shift, on the right by the anti-walk at its source, and on both
-    sides.  The anti-walks come from the quiver's table and, like the start
-    complex's walk, live on to_ribbon(gq).  The extensions are reduced walks
-    on that graph by construction, so their complexes skip the checks."""
+    sides.  The anti-walks and their inverses are tabled once per quiver.
+    The extensions are reduced walks on w.graph by construction, so their
+    complexes skip the checks."""
     if w.trivial:
         raise TrivialInput("translation extensions need a nontrivial walk")
     start = build_string_complex(gq, m, w)
-    w = start.walk
-    aw = _anti_walks(gq)
-    to_target = aw[w.target_vertex][1]
-    at_source = aw[w.source_vertex][0]
+    to_target = _inverse_anti_walks(gq)[w.target_vertex]
+    at_source = _anti_walks(gq)[w.source_vertex]
+    g = w.graph
+    if g is not at_source.graph:
+        # a graph equal to to_ribbon(gq), checked above: the same edges make
+        # the same walks on it
+        to_target = Walk._trusted(g, to_target.edges)
+        at_source = Walk._trusted(g, at_source.edges)
     left = reduced_concat(to_target, w)
     right = reduced_concat(w, at_source)
     both = reduced_concat(left, at_source)

@@ -26,14 +26,10 @@ def ribbon_faces(gq):
 
 @per_quiver
 def _anti_walks(gq):
-    """The anti-walk at each vertex of to_ribbon(gq), and its inverse, in
-    vertex order, computed once per quiver."""
+    """The anti-walk at each vertex of to_ribbon(gq), in vertex order,
+    computed once per quiver."""
     g = to_ribbon(gq)
-    table = {}
-    for v in g.vertices:
-        w = anti_walk(g, v)
-        table[v] = (w, w.inverse())
-    return table
+    return {v: anti_walk(g, v) for v in g.vertices}
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,7 @@ def coxeter(gq):
     c = cartan_matrix(gq)
     g = to_ribbon(gq)
     j_hat = IntMatrix.from_columns(
-        [incidence_vector(w) for w, _ in _anti_walks(gq).values()])
+        [incidence_vector(w) for w in _anti_walks(gq).values()])
     c_tr = c.transpose()
     if c_tr * j_hat != incidence_matrix(g):
         raise InternalMismatch("anti-walk matrix fails the incidence identity")

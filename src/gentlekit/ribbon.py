@@ -74,7 +74,10 @@ class RibbonGraph:
         for tgt, src in self.edge_halves.values():
             self.iota[tgt] = src
             self.iota[src] = tgt
-        ends = [(tgt[0], src[0]) for tgt, src in self.edge_halves.values()]
+        # the end vertex indices of each edge, in edge order: the nonzero
+        # columns of its row of the incidence matrix
+        ends = self._edge_ends = [(tgt[0], src[0])
+                                  for tgt, src in self.edge_halves.values()]
         if not connected(range(len(self.vertices)), ends):
             raise ValueError("ribbon graph is not connected")
 

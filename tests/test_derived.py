@@ -75,7 +75,6 @@ def test_walks_on_equal_graphs_build_complexes():
         x = build_string_complex(gq, 0, w)
         y = build_string_complex(gq, 0, parse_walk(g, w.render()))
         assert (x.terms, x.maps) == (y.terms, y.maps), w.render()
-        assert x.walk.graph is g
     i = g.counts.index(max(g.counts))
     swap = {(i, 0): (i, 1), (i, 1): (i, 0)}
     remarked = RibbonGraph(g.vertices, g.counts,
@@ -86,12 +85,15 @@ def test_walks_on_equal_graphs_build_complexes():
     for w in walks:
         with pytest.raises(ValueError):
             build_string_complex(gq, 0, w)
-    # triangles over walks on the equal graph match those on g itself
+    # triangles over walks on the equal graph match those on g itself and
+    # stay on the walk's own graph
     for w in enumerate_reduced_walks(same, 2):
         x = ar_translate(gq, 0, w)
         y = ar_translate(gq, 0, parse_walk(g, w.render()))
         assert ([(s.m, s.walk.render()) for s in (x.start, *x.middle, x.end)]
                 == [(s.m, s.walk.render()) for s in (y.start, *y.middle, y.end)])
+        assert x.start.walk == w
+        assert all(s.walk.graph is same for s in (*x.middle, x.end))
 
 
 def test_trivial_walk_gives_zero_complex():
@@ -298,8 +300,10 @@ def test_perfect_classes_need_no_form_arithmetic(monkeypatch):
         raise AssertionError("called during class enumeration")
 
     expected = {name: snapshot(name) for name in FIXTURE_NAMES}
-    # derived imports no qform_eval: root_classify reads q off B^tr x
-    monkeypatch.setattr(exact_linalg, "qform_eval", forbidden)
+    # qform_eval is forbidden both where it is defined and under derived's
+    # own name, should derived import it again
+    for module in (exact_linalg, derived):
+        monkeypatch.setattr(module, "qform_eval", forbidden, raising=False)
     monkeypatch.setattr(derived, "incidence_vector", forbidden)
     for name in FIXTURE_NAMES:
         assert snapshot(name) == expected[name], name
@@ -321,7 +325,8 @@ def test_walk_class_path_builds_each_artefact_once(monkeypatch):
 
     for module in (walks, invariants, derived):
         monkeypatch.setattr(module, "anti_walk", counted, raising=False)
-    monkeypatch.setattr(exact_linalg, "qform_eval", forbidden)
+    for module in (exact_linalg, derived):
+        monkeypatch.setattr(module, "qform_eval", forbidden, raising=False)
     for name in FIXTURE_NAMES:
         gq = load_fixture(name)
         g = to_ribbon(gq)
