@@ -4,7 +4,10 @@ Each cmd_* handler returns (exit code, JSON payload or None, text renderer)
 and writes nothing to stdout.  main alone writes stdout: the payload under
 --format json, else the renderer's text; a payload of None means the output
 ignores --format.  main also turns ValueError and OSError into exit 2 and
-InternalMismatch into exit 3, with one line on stderr and nothing on stdout.
+InternalMismatch into exit 3, with one line on stderr and nothing on stdout;
+a usage error from the parser also exits 2 with one stderr line.  Payloads
+take result records through _json, which gives a namedtuple or a __slots__
+record as the dict of its fields, so JSON keys are the field names.
 The JSON writer, _dump_json, gives the bytes of json.dumps(payload,
 indent=2, sort_keys=True) plus a newline in one pass, without the
 per-token generator that the stdlib encoder falls back to under indent.
@@ -20,7 +23,6 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 from .brauer import brauer_cartan, brauer_classify, brauer_from_json
@@ -90,8 +92,10 @@ def _dump_json(data):
 
 
 def _json(x):
-    """JSON data for a result object: a dataclass by its field names, a
-    multiset (an AAG invariant, a Counter) as its sorted [*key, count] rows."""
+    """JSON data for a result object.  A matrix is its rows, a polynomial its
+    coefficients, a multiset (an AAG invariant, a Counter) its sorted
+    [*key, count] rows, and any other record, a namedtuple or a __slots__
+    class, the dict of its fields by name."""
     if isinstance(x, IntMatrix):
         return x.to_lists()
     if isinstance(x, IntPolynomial):
@@ -100,8 +104,9 @@ def _json(x):
         x = x.pairs
     if isinstance(x, Counter):
         return sorted([*key, count] for key, count in x.items())
-    if is_dataclass(x):
-        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
+    names = getattr(x, "_fields", None) or getattr(x, "__slots__", None)
+    if names:
+        return {name: _json(getattr(x, name)) for name in names}
     return x
 
 
@@ -192,7 +197,7 @@ def cmd_walk(args):
     payload = {
         "complex": _complex_json(tri.start),
         "class": list(cls),
-        "root": {"value": root.value, "tag": root.tag, "note": root.note},
+        "root": _json(root),
         "walkClass": classify_walk(w),
         "arTriangle": {
             "start": {"m": tri.start.m, "walk": tri.start.walk.render()},
@@ -271,9 +276,7 @@ def cmd_brauer(args):
     bg = brauer_from_json(Path(args.path).read_text())
     verdict = brauer_classify(bg)
     cb = brauer_cartan(bg)
-    payload = {"cartan": cb.to_lists(), "definiteness": verdict.definiteness,
-               "tag": verdict.tag, "repType": verdict.repType,
-               "corank": verdict.corank}
+    payload = {"cartan": cb.to_lists(), **_json(verdict)}
 
     def text():
         return ("%s, %s%s (corank %d)\n"
@@ -334,10 +337,18 @@ def cmd_selftest(args):
                              % (args.count, seed))
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 2 with one stderr line; subparsers
+    get the same class."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gentlekit",
         description="Graph invariants of gentle bound quivers")
     sub = p.add_subparsers(dest="command", required=True)

@@ -81,17 +81,13 @@ class BandComplex:
 
 def build_string_complex(gq, m, w):
     """The complex of (m, w); a trivial walk gives the zero complex.  A
-    nontrivial walk must live on to_ribbon(gq), or a graph equal to it, and
-    be reduced: a backtracking junction raises NotReduced.  Both checks run
-    here, so reading terms and maps later raises nothing."""
+    nontrivial walk must live on to_ribbon(gq) itself and be reduced: a
+    backtracking junction raises NotReduced.  Both checks run here, so
+    reading terms and maps later raises nothing."""
     if not w.trivial:
-        g = to_ribbon(gq)
-        # junction steps are chain positions, so the walk must live on the
-        # graph rebuilt from the quiver, not merely an isomorphic copy
-        if w.graph is not g and (w.graph.vertices != g.vertices
-                                 or w.graph.edge_halves != g.edge_halves):
-            raise ValueError("walk graph does not match the quiver's own "
-                             "graph; take walks on to_ribbon(gq)")
+        if w.graph is not to_ribbon(gq):
+            raise ValueError("walk is not on the quiver's own graph; take "
+                             "walks on to_ribbon(gq)")
         if not w.reduced:
             raise NotReduced("backtracking junction")
     return StringComplex(gq, m, w)
@@ -325,19 +321,13 @@ def ar_translate(gq, m, w):
     left by the inverse anti-walk at its target, whose length less two is
     the shift, on the right by the anti-walk at its source, and on both
     sides.  The anti-walks and their inverses are tabled once per quiver.
-    The extensions are reduced walks on w.graph by construction, so their
-    complexes skip the checks."""
+    The extensions are reduced walks on to_ribbon(gq) by construction, so
+    their complexes skip the checks."""
     if w.trivial:
         raise TrivialInput("translation extensions need a nontrivial walk")
     start = build_string_complex(gq, m, w)
     to_target = _inverse_anti_walks(gq)[w.target_vertex]
     at_source = _anti_walks(gq)[w.source_vertex]
-    g = w.graph
-    if g is not at_source.graph:
-        # a graph equal to to_ribbon(gq), checked above: the same edges make
-        # the same walks on it
-        to_target = Walk._trusted(g, to_target.edges)
-        at_source = Walk._trusted(g, at_source.edges)
     left = reduced_concat(to_target, w)
     right = reduced_concat(w, at_source)
     both = reduced_concat(left, at_source)

@@ -7,8 +7,7 @@ polynomial vs the face product formula) both are computed and compared;
 a disagreement raises InternalMismatch since it can only mean a bug.
 """
 
-from collections import Counter
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
 
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, IntPolynomial, char_poly, det, rank_corank
@@ -32,18 +31,13 @@ def _anti_walks(gq):
     return {v: anti_walk(g, v) for v in g.vertices}
 
 
-@dataclass(frozen=True)
-class EulerAnalysis:
-    gramProjectives: IntMatrix
-    gramSimples: object          # IntMatrix or None for infinite gl.dim
-    nabla: int
-    rank: int
-    corank: int
-    dynkinProjectives: str
-    dynkinSimples: object        # str or None
-    unitInProjectives: bool
-    unitInSimples: object        # bool or None
-    connectedInSimples: object   # bool or None
+# The simples-basis fields, gramSimples (an IntMatrix), dynkinSimples (a str),
+# unitInSimples and connectedInSimples (bools), are None at infinite global
+# dimension.
+EulerAnalysis = namedtuple("EulerAnalysis", (
+    "gramProjectives", "gramSimples", "nabla", "rank", "corank",
+    "dynkinProjectives", "dynkinSimples", "unitInProjectives",
+    "unitInSimples", "connectedInSimples"))
 
 
 def multi_clock(gq):
@@ -276,23 +270,11 @@ def coxeter(gq):
 # --- fingerprints ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    numQVertices: int
-    numQArrows: int
-    numGVertices: int
-    numGEdges: int
-    numFaces: int
-    bipartite: bool
-    nabla: int
-    corank: int
-    detCartan: int
-    aag: AAGInvariant
-    coxeterPoly: IntPolynomial
-    faceProfile: Counter
-
-
-FINGERPRINT_FIELDS = tuple(f.name for f in fields(Fingerprint))
+Fingerprint = namedtuple("Fingerprint", (
+    "numQVertices", "numQArrows", "numGVertices", "numGEdges", "numFaces",
+    "bipartite", "nabla", "corank", "detCartan", "aag", "coxeterPoly",
+    "faceProfile"))
+FINGERPRINT_FIELDS = Fingerprint._fields
 
 
 @per_quiver
@@ -317,10 +299,8 @@ def fingerprint(gq):
     )
 
 
-@dataclass
-class ComparisonReport:
-    verdict: str               # "not derived equivalent" | "inconclusive"
-    differing: tuple
+# verdict is "not derived equivalent" or "inconclusive"
+ComparisonReport = namedtuple("ComparisonReport", ("verdict", "differing"))
 
 
 def compare(f1, f2):

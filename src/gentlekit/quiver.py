@@ -103,8 +103,10 @@ class BoundQuiver:
         self._validate()
 
     def _validate(self):
-        if len(set(self.vertices)) != len(self.vertices):
-            raise QuiverStructureError("duplicate vertex id")
+        vs = self.vertices
+        if len(set(vs)) != len(vs):
+            raise QuiverStructureError("duplicate vertex id %r" % next(
+                v for i, v in enumerate(vs) if v in vs[:i]))
         if not self.vertices:
             raise QuiverStructureError("no vertices declared")
         if min(self.vertices) < 1:

@@ -33,8 +33,10 @@ class RibbonGraph:
         self.vertices = tuple(str(v) for v in vertices)
         if not self.vertices:
             raise ValueError("ribbon graph has no vertices")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex id")
+        vs = self.vertices
+        if len(set(vs)) != len(vs):
+            raise ValueError("duplicate vertex id %r" % next(
+                v for i, v in enumerate(vs) if v in vs[:i]))
         self.vid_index = {v: i for i, v in enumerate(self.vertices)}
         self.counts = tuple(int(c) for c in counts)
         if len(self.counts) != len(self.vertices):

@@ -356,6 +356,37 @@ def test_long_number_is_input_error(capsys, tmp_path, command, suffix, text,
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("suffix,text,named", [
+    (".quiver", "vertices 1 2 2; arrow a: 1 -> 2;\n", "duplicate vertex id 2"),
+    (".rgraph.json",
+     '{"vertices": [{"id": "a", "halfEdges": ["x"]},'
+     ' {"id": "a", "halfEdges": ["y"]}], "iota": [["x", "y"]]}',
+     "duplicate vertex id 'a'"),
+], ids=["dsl", "ribbon-json"])
+def test_duplicate_vertex_id_is_named(capsys, tmp_path, suffix, text, named):
+    path = tmp_path / ("dup" + suffix)
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "aag", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["walk", fx("amiot1.quiver"), "--walk", "-1 3 5", "--shift", "x"],
+    ["walk", fx("amiot1.quiver")],
+], ids=["unknown-command", "bad-int", "missing-option"])
+def test_usage_error_writes_one_stderr_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/no/such/file.quiver")
     assert code == 2
@@ -415,3 +446,15 @@ def test_console_script_subprocess():
         cwd=pathlib.Path(gentlekit.__file__).parent.parent)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "{(3,1)}"
+
+
+def test_no_dataclasses_or_inspect_import():
+    # both cost import time in every process, and no result record needs them
+    code = ("import sys, gentlekit, gentlekit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        # run the copy under test, whether installed or on pytest's pythonpath
+        cwd=pathlib.Path(gentlekit.__file__).parent.parent)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

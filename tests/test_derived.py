@@ -66,15 +66,19 @@ def test_string_complex_shift_moves_degrees():
 
 
 def test_walks_on_equal_graphs_build_complexes():
-    # a walk may live on any graph equal to to_ribbon(gq), but not on a
-    # differently marked graph on the same edges
+    # a walk must live on to_ribbon(gq) itself: neither an equal copy of the
+    # graph nor a differently marked graph on the same edges will do
     gq, g = _pair("amiot1")
     same = to_ribbon(load_fixture("amiot1"))
     assert same is not g
-    for w in enumerate_reduced_walks(same, 3):
-        x = build_string_complex(gq, 0, w)
-        y = build_string_complex(gq, 0, parse_walk(g, w.render()))
-        assert (x.terms, x.maps) == (y.terms, y.maps), w.render()
+    assert (same.vertices, same.edge_halves) == (g.vertices, g.edge_halves)
+    walks = enumerate_reduced_walks(same, 2)
+    assert walks
+    for w in walks:
+        with pytest.raises(ValueError):
+            build_string_complex(gq, 0, w)
+        with pytest.raises(ValueError):
+            ar_translate(gq, 0, w)
     i = g.counts.index(max(g.counts))
     swap = {(i, 0): (i, 1), (i, 1): (i, 0)}
     remarked = RibbonGraph(g.vertices, g.counts,
@@ -85,15 +89,6 @@ def test_walks_on_equal_graphs_build_complexes():
     for w in walks:
         with pytest.raises(ValueError):
             build_string_complex(gq, 0, w)
-    # triangles over walks on the equal graph match those on g itself and
-    # stay on the walk's own graph
-    for w in enumerate_reduced_walks(same, 2):
-        x = ar_translate(gq, 0, w)
-        y = ar_translate(gq, 0, parse_walk(g, w.render()))
-        assert ([(s.m, s.walk.render()) for s in (x.start, *x.middle, x.end)]
-                == [(s.m, s.walk.render()) for s in (y.start, *y.middle, y.end)])
-        assert x.start.walk == w
-        assert all(s.walk.graph is same for s in (*x.middle, x.end))
 
 
 def test_trivial_walk_gives_zero_complex():

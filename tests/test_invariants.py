@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -262,7 +261,7 @@ def test_per_quiver_results_are_shared_and_frozen():
     assert euler_analysis(load_fixture("amiot1")) is not euler_analysis(gq)
     for result, field in ((euler_analysis(gq), "nabla"),
                           (fingerprint(gq), "corank")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(result, field, 7)
 
 
