@@ -45,7 +45,7 @@ class StringComplex:
     def terms(self):
         """(cohomological degree, projective id), one per walk edge."""
         degrees = accumulate((d for d, _ in self._junctions()), initial=self.m)
-        return tuple(zip(degrees, (e for e, _ in self.walk.edges)))
+        return tuple(zip(degrees, map(abs, self.walk.edges)))
 
     @property
     def maps(self):
@@ -258,7 +258,7 @@ def enumerate_perfect_classes(gq, max_len):
         if k == 0:
             done[e] = base
             continue
-        i = edge_index[e[0]]
+        i = edge_index[abs(e)]
         vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
         left = length - k
         if left and done.get((e, vec), -1) >= left:

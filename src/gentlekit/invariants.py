@@ -97,16 +97,18 @@ def euler_analysis(gq):
     nv = len(gq.vertices)
     na = len(gq.arrows)
     c = cartan_matrix(gq)
-    gram = c + c.transpose()
+    c_tr = c.transpose()
+    gram = c + c_tr
     g = to_ribbon(gq)
     inc = incidence_matrix(g)
-    if inc * inc.transpose() != gram:
+    inc_tr = inc.transpose()
+    if inc * inc_tr != gram:
         raise InternalMismatch("Gram matrix differs from incidence product")
 
     nabla = 1 if is_bipartite(g) else 0
     if nabla != multi_clock(gq):
         raise InternalMismatch("bipartiteness and direction parity disagree")
-    rank, corank = rank_corank(inc.transpose())
+    rank, corank = rank_corank(inc_tr)
     if corank != na - nv + nabla:
         raise InternalMismatch("corank off the predicted value")
 
@@ -121,7 +123,7 @@ def euler_analysis(gq):
         fr = forbidden_ribbon(gq)
         inc_hat = incidence_matrix(fr.graph, fr.sigma_hat)
         gram_s = inc_hat * inc_hat.transpose()
-        if c * gram_s * c.transpose() != gram:
+        if c * gram_s * c_tr != gram:
             raise InternalMismatch("simples Gram fails the base-change identity")
         unit_s = all(gram_s.rows[i][i] == 2 for i in range(nv))
         conn_s = connected(range(nv), [(i, j) for i, row in enumerate(gram_s.rows)

@@ -33,6 +33,8 @@ import re
 import sys
 from collections import namedtuple
 
+from .exact_linalg import IntMatrix
+
 
 class QuiverSyntaxError(ValueError):
     def __init__(self, msg, line, col):
@@ -454,8 +456,6 @@ def cartan_matrix(gq):
 
     Column i is the dimension vector of the projective at vertex i.
     """
-    from .exact_linalg import IntMatrix
-
     idx = {v: k for k, v in enumerate(gq.vertices)}
     n = len(gq.vertices)
     c = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -2,17 +2,19 @@
 
 Half-edges are pairs (vertex index, position); position 0 is the marked,
 maximal element of its vertex's chain and positions increase downwards.
-Every edge carries a reference orientation: its target half is the one with
-the larger (vertex index, position) key.  The split-thread construction
-turns a gentle quiver into such a graph (vertices are the permitted threads,
-edges are the quiver's vertices) and is inverted by reading each chain as a
-run of arrows with relations between consecutive chains.
+Edge ids are positive integers.  Every edge carries a reference orientation:
+its target half is the one with the larger (vertex index, position) key.  An
+oriented edge is a signed edge id: e in the reference orientation, -e
+against it.  The split-thread construction turns a gentle quiver into such a
+graph (vertices are the permitted threads, edges are the quiver's vertices)
+and is inverted by reading each chain as a run of arrows with relations
+between consecutive chains.
 """
 
 import json
-from functools import cached_property
 
 from .errors import InfiniteGlobalDimension
+from .exact_linalg import IntMatrix
 from .quiver import (BoundQuiver, connected, per_quiver, thread_centers,
                      validate_gentle)
 
@@ -26,7 +28,8 @@ class RibbonGraph:
 
     The constructor checks that there are vertices, with distinct ids and
     at least one half each, that the pairs match every half with exactly
-    one other under distinct edge ids, and that the graph is connected.
+    one other under distinct positive edge ids, and that the graph is
+    connected.
     """
 
     def __init__(self, vertices, counts, pairs):
@@ -49,9 +52,13 @@ class RibbonGraph:
         self.edges = []
         self.edge_halves = {}
         self.half_edge = {}
+        # the target half of each oriented edge
+        self._head = {}
         seen = set()
         for eid, h1, h2 in pairs:
             eid = int(eid)
+            if eid < 1:
+                raise ValueError("edge id %d is not a positive integer" % eid)
             if eid in self.edge_halves:
                 raise ValueError("duplicate edge id %d" % eid)
             if h1 == h2:
@@ -65,6 +72,8 @@ class RibbonGraph:
             tgt, src = (h1, h2) if h1 > h2 else (h2, h1)
             self.edges.append(eid)
             self.edge_halves[eid] = (tgt, src)
+            self._head[eid] = tgt
+            self._head[-eid] = src
             self.half_edge[h1] = eid
             self.half_edge[h2] = eid
         self.edges = tuple(self.edges)
@@ -93,49 +102,27 @@ class RibbonGraph:
         i, p = half
         return (i, p + 1) if p + 1 < self.counts[i] else (i, 0)
 
-    # --- oriented edges: (edge id, +1) is the reference orientation -----
+    # --- oriented edges: e is the reference orientation, -e the other ----
 
     def t_half(self, oe):
-        e, s = oe
-        tgt, src = self.edge_halves[e]
-        return tgt if s > 0 else src
+        return self._head[oe]
 
     def s_half(self, oe):
-        e, s = oe
-        tgt, src = self.edge_halves[e]
-        return src if s > 0 else tgt
-
-    # walk ends, one lookup each; built on first use, not in __init__, since
-    # many graphs, every Brauer graph among them, are never walked
-    @cached_property
-    def _t_vertex_of(self):
-        """The target vertex id of each oriented edge."""
-        return {oe: self.z(self.t_half(oe)) for oe in self.oriented_edges()}
-
-    @cached_property
-    def _s_vertex_of(self):
-        """The source vertex id of each oriented edge: the target of its
-        reverse."""
-        return {(e, -s): v for (e, s), v in self._t_vertex_of.items()}
+        return self._head[-oe]
 
     def t_vertex(self, oe):
-        return self._t_vertex_of[oe]
+        return self.vertices[self._head[oe][0]]
 
     def s_vertex(self, oe):
-        return self._s_vertex_of[oe]
+        return self.vertices[self._head[-oe][0]]
 
     def oriented_edges(self):
-        out = []
-        for e in self.edges:
-            out.append((e, 1))
-            out.append((e, -1))
-        return out
+        return [oe for e in self.edges for oe in (e, -e)]
 
     def oriented_with_target(self, half):
         """The unique oriented edge whose target half is the given one."""
         e = self.half_edge[half]
-        tgt, _ = self.edge_halves[e]
-        return (e, 1) if half == tgt else (e, -1)
+        return e if self._head[e] == half else -e
 
     def __repr__(self):
         return "RibbonGraph(%d vertices, %d edges)" % (len(self.vertices),
@@ -148,8 +135,6 @@ def incidence_matrix(g, sigma=None):
     sigma maps half-edges to +1/-1; omitted means all +1, so a loop row
     carries a 2 and every other row two 1s.
     """
-    from .exact_linalg import IntMatrix
-
     rows = []
     for e in g.edges:
         row = [0] * len(g.vertices)
@@ -417,16 +402,17 @@ def random_marked_ribbon_graph(rng, kind="any", max_vertices=6):
         extra = rng.randint(0 if n > 2 else 1, 3)
         for _ in range(extra):
             ends.append((rng.randrange(n), rng.randrange(n)))
+    # each edge takes a slot at either end, tagged by its two signed ids
     slots = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(ends, start=1):
-        slots[u].append((eid, 0))
-        slots[v].append((eid, 1))
+        slots[u].append(eid)
+        slots[v].append(-eid)
     for lst in slots:
         rng.shuffle(lst)
     where = {}
     for i, lst in enumerate(slots):
-        for p, tag in enumerate(lst):
-            where[tag] = (i, p)
-    pairs = [(eid, where[(eid, 0)], where[(eid, 1)]) for eid, _ in enumerate(ends, start=1)]
+        for p, oe in enumerate(lst):
+            where[oe] = (i, p)
+    pairs = [(eid, where[eid], where[-eid]) for eid in range(1, len(ends) + 1)]
     return RibbonGraph(["v%d" % i for i in range(n)],
                        [len(lst) for lst in slots], pairs)

@@ -2,7 +2,9 @@
 
 A walk is a word of oriented edges i_1 ... i_{L+1}, written left to right but
 traversed right to left: the source of the walk is the source of the last
-written edge.  Consecutive edges must meet in a vertex: source(i_t) ==
+written edge.  An oriented edge is a signed edge id, e in the reference
+orientation and -e against it, so the word is what render prints and
+parse_walk reads.  Consecutive edges must meet in a vertex: source(i_t) ==
 target(i_{t+1}).  Each junction carries a degree +1 or -1 according to
 whether the incoming half sits above or below the outgoing half in the
 vertex's chain; equal halves would mean backtracking, which is what
@@ -32,10 +34,6 @@ class NotReduced(ValueError):
     pass
 
 
-def _inv(oe):
-    return (oe[0], -oe[1])
-
-
 class Walk:
     """Immutable walk; edges in written order, or empty with a base vertex."""
 
@@ -43,10 +41,10 @@ class Walk:
 
     def __init__(self, graph, edges, base=None):
         self.graph = graph
-        self.edges = tuple((e, sign) for e, sign in edges)
-        for e, sign in self.edges:
-            if e not in graph.edge_index or sign not in (1, -1):
-                raise UnknownEdge("no oriented edge %r" % ((e, sign),))
+        self.edges = tuple(edges)
+        for oe in self.edges:
+            if type(oe) is not int or abs(oe) not in graph.edge_index:
+                raise UnknownEdge("no oriented edge %r" % (oe,))
         if self.edges:
             self.base = None
             for t in range(len(self.edges) - 1):
@@ -88,7 +86,7 @@ class Walk:
     @property
     def reduced(self):
         for t in range(len(self.edges) - 1):
-            if self.edges[t + 1] == _inv(self.edges[t]):
+            if self.edges[t + 1] == -self.edges[t]:
                 return False
         return True
 
@@ -96,12 +94,12 @@ class Walk:
         if self.trivial:
             return self
         return Walk._trusted(self.graph,
-                             tuple(_inv(e) for e in reversed(self.edges)))
+                             tuple(-e for e in reversed(self.edges)))
 
     def render(self):
         if self.trivial:
             return "(trivial at %s)" % self.base
-        return " ".join(str(e if s > 0 else -e) for e, s in self.edges)
+        return " ".join(map(str, self.edges))
 
     def __eq__(self, other):
         return (isinstance(other, Walk) and self.graph is other.graph
@@ -125,12 +123,9 @@ def parse_walk(g, text):
     edges = []
     for tok in toks:
         try:
-            v = int(tok)
+            edges.append(int(tok))
         except ValueError:
             raise UnknownEdge("bad edge token %r" % tok)
-        if v == 0 or abs(v) not in g.edge_index:
-            raise UnknownEdge("no edge named %s" % abs(v))
-        edges.append((abs(v), 1 if v > 0 else -1))
     return Walk(g, edges)
 
 
@@ -158,8 +153,8 @@ def incidence_vector(w):
     """Alternating edge-indicator sum, +1 on the first written edge."""
     g = w.graph
     v = [0] * len(g.edges)
-    for t, (e, _) in enumerate(w.edges):
-        v[g.edge_index[e]] += 1 if t % 2 == 0 else -1
+    for t, e in enumerate(w.edges):
+        v[g.edge_index[abs(e)]] += 1 if t % 2 == 0 else -1
     return tuple(v)
 
 
@@ -173,7 +168,7 @@ def connecting_path(g, i, j):
     """
     d = deg_step(g, i, j)
     if d < 0:
-        i, j = _inv(j), _inv(i)
+        i, j = -j, -i
     sh = g.s_half(i)
     th = g.t_half(j)
     return d, tuple((sh[0], p) for p in range(sh[1] + 1, th[1] + 1))
@@ -275,14 +270,14 @@ def faces(g):
     """All faces, each oriented edge appearing in exactly one of them.
 
     Each face is written so that its reading in traversal order, an edge
-    (e, s) comparing as (e, -s), is least.  A face passes each oriented edge
-    once, so that reading starts at the face's least oriented edge, which
-    is written last.  Between consecutive marked halves a non-full face
-    runs along the anti-walk of the first one.
+    i comparing as (abs(i), -i) so that e comes before -e, is least.  A face
+    passes each oriented edge once, so that reading starts at the face's
+    least oriented edge, which is written last.  Between consecutive marked
+    halves a non-full face runs along the anti-walk of the first one.
     """
     out = []
     for cyc in cycles(g.oriented_edges(), lambda i: _next_oriented(g, i)):
-        k = min(range(len(cyc)), key=lambda t: (cyc[t][0], -cyc[t][1])) + 1
+        k = min(range(len(cyc)), key=lambda t: (abs(cyc[t]), -cyc[t])) + 1
         n = sum(g.t_half(i)[1] == 0 for i in cyc)
         out.append(Face(Walk._trusted(g, cyc[k:] + cyc[:k]), n))
     return out
@@ -306,7 +301,7 @@ def reduced_concat(w1, w2):
         return w1
     k = 0
     while (k < len(e1) and k < len(e2)
-           and e1[len(e1) - 1 - k] == _inv(e2[k])):
+           and e1[len(e1) - 1 - k] == -e2[k]):
         k += 1
     rest = e1[:len(e1) - k] + e2[k:]
     if not rest:
@@ -322,10 +317,9 @@ def _successors(g):
     order at its source so that a stack pops them in chain order."""
     after = {}
     for i in g.oriented_edges():
-        back = _inv(i)
         after[i] = [j for j in map(g.oriented_with_target,
                                    reversed(g.chains[g.s_half(i)[0]]))
-                    if j != back]
+                    if j != -i]
     return after
 
 

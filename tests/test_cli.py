@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import gentlekit
-from gentlekit import from_ribbon, invariants, to_ribbon
+from gentlekit import invariants, to_ribbon
 from gentlekit.cli import _dump_json, build_parser, main
 from gentlekit.derived import ar_translate, k0_class
 from gentlekit.ribbon import RibbonGraph
@@ -309,8 +309,9 @@ def test_cross_check_failure_exits_3(capsys, monkeypatch):
 
 
 def test_vertex_id_zero_is_input_error(capsys, tmp_path):
-    # edge 0 would render as "0" in both orientations of a printed walk,
-    # which no --walk argument can name, so vertex id 0 is refused on input
+    # edge 0 would be "0" in both orientations of a walk, which no --walk
+    # argument can name, so vertex id 0 is refused on input and edge id 0
+    # when a ribbon graph is built
     path = tmp_path / "zero.quiver"
     path.write_text("vertices 0 1 2; arrow a: 0 -> 1; arrow b: 1 -> 2; "
                     "rel b.a;\n")
@@ -320,10 +321,10 @@ def test_vertex_id_zero_is_input_error(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "vertex id 0" in err
-    g = RibbonGraph(["u", "v", "w"], [1, 2, 1],
-                    [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))])
-    with pytest.raises(ValueError, match="vertex id 0"):
-        from_ribbon(g)
+    with pytest.raises(ValueError,
+                       match="edge id 0 is not a positive integer"):
+        RibbonGraph(["u", "v", "w"], [1, 2, 1],
+                        [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))])
 
 
 LONG = "1" * (sys.get_int_max_str_digits() + 700)

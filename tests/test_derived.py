@@ -132,7 +132,7 @@ def test_classes_are_alternating_term_sums():
             for t in range(len(e) - 2):
                 cum.append(cum[-1] + deg_step(g, e[t], e[t + 1]))
             for m in (0, 1):
-                terms = [(m + c, oe[0]) for c, oe in zip(cum, e)]
+                terms = [(m + c, abs(oe)) for c, oe in zip(cum, e)]
                 for d in (1, 2):
                     assert k0_class(BandComplex(m, belt, d)) == \
                         _alternating_term_sum(g, terms, d), \
@@ -385,14 +385,14 @@ def _preorder_reference(gq, max_len):
     # the edges that may follow each edge, in the chain order at its source
     after = {e: [j for j in map(g.oriented_with_target,
                                 g.chains[g.vid_index[g.s_vertex(e)]])
-                 if j != (e[0], -e[1])]
+                 if j != -e]
              for e in g.oriented_edges()}
     classes = {}
     values = {}
 
     def visit(edges, base):
         k = len(edges)
-        i = edge_index[edges[-1][0]]
+        i = edge_index[abs(edges[-1])]
         vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
         if vec not in classes:
             w = walks.Walk(g, edges)

@@ -36,10 +36,10 @@ def test_reference_orientation_prefers_larger_half():
     for eid in g.edges:
         tgt, src = g.edge_halves[eid]
         assert tgt > src
-        assert g.t_half((eid, 1)) == tgt and g.s_half((eid, 1)) == src
-        assert g.t_half((eid, -1)) == src and g.s_half((eid, -1)) == tgt
-        assert g.oriented_with_target(tgt) == (eid, 1)
-        assert g.oriented_with_target(src) == (eid, -1)
+        assert g.t_half(eid) == tgt and g.s_half(eid) == src
+        assert g.t_half(-eid) == src and g.s_half(-eid) == tgt
+        assert g.oriented_with_target(tgt) == eid
+        assert g.oriented_with_target(src) == -eid
         assert g.iota[tgt] == src and g.iota[src] == tgt
 
 
@@ -184,6 +184,14 @@ def test_constructor_rejects_bad_pairings():
     with pytest.raises(ValueError):
         RibbonGraph(("u",), (4,), [(1, (0, 0), (0, 1)),
                                    (1, (0, 2), (0, 3))])
+
+
+def test_constructor_rejects_edge_ids_below_one():
+    # an oriented edge is a signed edge id, so an edge id is positive
+    for eid in (0, -3):
+        with pytest.raises(ValueError,
+                           match="edge id %d is not a positive integer" % eid):
+            RibbonGraph(("u", "v"), (1, 1), [(eid, (0, 0), (1, 0))])
 
 
 def test_json_round_trip():

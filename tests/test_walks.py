@@ -52,18 +52,29 @@ def test_parse_and_render():
         parse_walk(g, "2 bogus")
 
 
+def test_walk_edges_are_the_rendered_word():
+    # an oriented edge is its signed edge id, so a walk's edges are the word
+    # that render prints and parse_walk reads back
+    for name in FIXTURE_NAMES:
+        g = _ribbon(name)
+        for w in enumerate_reduced_walks(g, 4):
+            assert w.edges == tuple(map(int, w.render().split())), name
+            assert parse_walk(g, w.render()) == w, name
+
+
 def test_walk_rejects_unknown_oriented_edges():
-    # the checked constructor validates every edge id and sign before it
-    # looks the edges up
+    # the checked constructor validates every edge before it looks the edges
+    # up: an oriented edge is a nonzero int that names an edge, so a bool, a
+    # float or a tuple is refused
     g = _ribbon("sixvertex")
-    for edges in ([(1, 0)], [(1, 5)], [(1, -2)], [(99, 1)], [(0, 1)],
-                  [(2, 1), (-3, 1)], [(2, 1), (3, 0)]):
+    for edges in ([(1, 0)], [(1, 5)], [(1, -2)], [99], [-99], [0],
+                  [2, -99], [2, 0], [True], [1.0], [(1, 1)]):
         with pytest.raises(UnknownEdge):
             Walk(g, edges)
-    assert Walk(g, [(1, 1)]).render() == "1"
-    assert Walk(g, [(1, -1)]).render() == "-1"
-    # edges given as lists are stored as tuples, like parsed ones
-    w = Walk(g, [[2, 1], [3, -1]])
+    assert Walk(g, [1]).render() == "1"
+    assert Walk(g, [-1]).render() == "-1"
+    # an edge list is stored as a tuple, like a parsed one
+    w = Walk(g, [2, -3])
     assert w == parse_walk(g, "2 -3") and hash(w) == hash(parse_walk(g, "2 -3"))
     assert Walk(g, parse_walk(g, "2 -3 -5").edges).render() == "2 -3 -5"
 
@@ -121,11 +132,11 @@ def test_walk_classification():
 
 def test_connecting_path_frozen():
     g = _ribbon("sixvertex")
-    d, path = connecting_path(g, (2, 1), (3, -1))
+    d, path = connecting_path(g, 2, -3)
     assert d in (1, -1)
     assert all(p in {h for ch in g.chains for h in ch} for p in path)
     # inverse orientation pair gives the opposite sign
-    d2, _ = connecting_path(g, (3, 1), (2, -1))
+    d2, _ = connecting_path(g, 3, -2)
     assert d2 == -d
 
 
@@ -216,11 +227,11 @@ def test_faces_frozen():
 
 def _least_traversal_rotation(edges):
     """The rotation whose reading in traversal order, last written edge
-    first, is least, an edge (e, s) comparing as (e, 0) for s = +1 and
-    (e, 1) for s = -1; found by trying every rotation."""
+    first, is least, an edge i comparing as (abs(i), 0) for i > 0 and
+    (abs(i), 1) for i < 0; found by trying every rotation."""
     rotations = [edges[k:] + edges[:k] for k in range(len(edges))]
-    return min(rotations, key=lambda rot: [(e, 0 if s > 0 else 1)
-                                           for e, s in reversed(rot)])
+    return min(rotations, key=lambda rot: [(abs(i), 0 if i > 0 else 1)
+                                           for i in reversed(rot)])
 
 
 def test_faces_read_from_their_junctions():
@@ -241,7 +252,7 @@ def test_faces_read_from_their_junctions():
             d = 0
             for t in range(ell):
                 i, j = e[t], e[(t + 1) % ell]
-                if j == (i[0], -i[1]):
+                if j == -i:
                     backtracks += 1
                     d -= 1
                 else:
@@ -317,7 +328,7 @@ def _reference_walks(g, max_len):
         last = edges[-1]
         for h in g.chains[g.vid_index[g.s_vertex(last)]]:
             nxt = g.oriented_with_target(h)
-            if nxt != (last[0], -last[1]):
+            if nxt != -last:
                 grow(edges + (nxt,))
 
     for start in g.oriented_edges():
