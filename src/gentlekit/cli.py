@@ -125,12 +125,13 @@ def _analysis_text(gq):
     lines.append("")
     lines.append("graph vertices (chains, top half first):")
     for i, v in enumerate(g.vertices):
-        order = " > ".join(str(g.half_edge[h]) for h in g.chains[i])
+        order = " > ".join(str(abs(g.oriented_with_target(h)))
+                           for h in g.chains[i])
         lines.append("  %-12s %s" % (v, order))
     lines.append("")
     lines.append("edges with reference orientation (source -> target):")
     for e in g.edges:
-        tgt, src = g.edge_halves[e]
+        tgt, src = g.t_half(e), g.s_half(e)
         lines.append("  %-4s %s -> %s   halves %s -> %s"
                      % (e, g.vertices[src[0]], g.vertices[tgt[0]],
                         half_name(g, src), half_name(g, tgt)))

@@ -29,7 +29,11 @@ class RibbonGraph:
     The constructor checks that there are vertices, with distinct ids and
     at least one half each, that the pairs match every half with exactly
     one other under distinct positive edge ids, and that the graph is
-    connected.
+    connected.  It keeps the pairing as two inverse tables: the target half
+    t_half(oe) of each oriented edge and the oriented edge
+    oriented_with_target(h) into each half.  Edge e has the halves
+    (t_half(e), s_half(e)); the half h lies on edge abs(oe) and is paired
+    with s_half(oe), where oe = oriented_with_target(h).
     """
 
     def __init__(self, vertices, counts, pairs):
@@ -50,52 +54,42 @@ class RibbonGraph:
                             for i, c in enumerate(self.counts))
         all_halves = {h for ch in self.chains for h in ch}
         self.edges = []
-        self.edge_halves = {}
-        self.half_edge = {}
-        # the target half of each oriented edge
+        # the pairing as two inverse tables: the target half of each
+        # oriented edge, and the oriented edge into each half
         self._head = {}
-        seen = set()
+        self._into = {}
         for eid, h1, h2 in pairs:
             eid = int(eid)
             if eid < 1:
                 raise ValueError("edge id %d is not a positive integer" % eid)
-            if eid in self.edge_halves:
+            if eid in self._head:
                 raise ValueError("duplicate edge id %d" % eid)
             if h1 == h2:
                 raise ValueError("edge %d pairs a half-edge with itself" % eid)
             for h in (h1, h2):
                 if h not in all_halves:
                     raise ValueError("unknown half-edge %r" % (h,))
-                if h in seen:
+                if h in self._into:
                     raise ValueError("half-edge %r used twice" % (h,))
-                seen.add(h)
             tgt, src = (h1, h2) if h1 > h2 else (h2, h1)
             self.edges.append(eid)
-            self.edge_halves[eid] = (tgt, src)
             self._head[eid] = tgt
             self._head[-eid] = src
-            self.half_edge[h1] = eid
-            self.half_edge[h2] = eid
+            self._into[tgt] = eid
+            self._into[src] = -eid
         self.edges = tuple(self.edges)
         # row of each edge in incidence vectors and matrices
         self.edge_index = {e: k for k, e in enumerate(self.edges)}
-        if seen != all_halves:
+        if len(self._into) != len(all_halves):
             raise ValueError("some half-edges are not paired")
-        self.iota = {}
-        for tgt, src in self.edge_halves.values():
-            self.iota[tgt] = src
-            self.iota[src] = tgt
         # the end vertex indices of each edge, in edge order: the nonzero
         # columns of its row of the incidence matrix
-        ends = self._edge_ends = [(tgt[0], src[0])
-                                  for tgt, src in self.edge_halves.values()]
+        ends = self._edge_ends = [(self._head[e][0], self._head[-e][0])
+                                  for e in self.edges]
         if not connected(range(len(self.vertices)), ends):
             raise ValueError("ribbon graph is not connected")
 
     # --- basic queries -------------------------------------------------
-
-    def z(self, half):
-        return self.vertices[half[0]]
 
     def rho_inv(self, half):
         """Rotate one step down the chain; the bottom wraps to the top."""
@@ -121,8 +115,7 @@ class RibbonGraph:
 
     def oriented_with_target(self, half):
         """The unique oriented edge whose target half is the given one."""
-        e = self.half_edge[half]
-        return e if self._head[e] == half else -e
+        return self._into[half]
 
     def __repr__(self):
         return "RibbonGraph(%d vertices, %d edges)" % (len(self.vertices),
@@ -138,7 +131,7 @@ def incidence_matrix(g, sigma=None):
     rows = []
     for e in g.edges:
         row = [0] * len(g.vertices)
-        for h in g.edge_halves[e]:
+        for h in (g._head[e], g._head[-e]):
             row[h[0]] += 1 if sigma is None else sigma[h]
         rows.append(row)
     return IntMatrix._trusted(tuple(map(tuple, rows)), len(g.vertices))
@@ -148,7 +141,7 @@ def is_bipartite(g):
     """No loops and a proper 2-colouring.  With every half signed +1,
     is_balanced asks for opposite colours across each edge and rejects
     loops; a RibbonGraph is connected, so one colouring covers it."""
-    return is_balanced(g, dict.fromkeys(g.iota, 1))
+    return is_balanced(g, dict.fromkeys(g._into, 1))
 
 
 def is_balanced(g, sigma):
@@ -156,7 +149,8 @@ def is_balanced(g, sigma):
     for every edge {h, h'}?  Loops force their own sign condition."""
     n = len(g.vertices)
     adj = {i: [] for i in range(n)}
-    for tgt, src in g.edge_halves.values():
+    for e in g.edges:
+        tgt, src = g._head[e], g._head[-e]
         eps = -sigma[tgt] * sigma[src]
         if tgt[0] == src[0]:
             if eps != 1:
@@ -237,8 +231,8 @@ def from_ribbon(g):
         chain = g.chains[i]
         for t in range(1, len(chain)):
             name = "x%d_%d" % (i, t)
-            src = g.half_edge[chain[t]]
-            tgt = g.half_edge[chain[t - 1]]
+            src = abs(g._into[chain[t]])
+            tgt = abs(g._into[chain[t - 1]])
             arrows.append((name, src, tgt))
             arrow_of_step[chain[t]] = name
     relations = []
@@ -247,7 +241,7 @@ def from_ribbon(g):
         for t in range(1, len(chain)):
             # an arrow composes forbiddenly after this one exactly when the
             # partner of this one's bottom half has an arrow below it
-            pi, pp = g.iota[chain[t]]
+            pi, pp = g._head[-g._into[chain[t]]]
             if pp + 1 < g.counts[pi]:
                 a1 = arrow_of_step[(pi, pp + 1)]
                 a2 = arrow_of_step[chain[t]]
@@ -266,7 +260,7 @@ def quiver_canonical_form(gq):
 
 def ribbon_canonical_form(g):
     """Vertex-name-free structural form: the multiset of chain edge lists."""
-    return tuple(sorted(tuple(g.half_edge[h] for h in ch) for ch in g.chains))
+    return tuple(sorted(tuple(abs(g._into[h]) for h in ch) for ch in g.chains))
 
 
 # --- JSON input / output ------------------------------------------------
@@ -354,9 +348,8 @@ def ribbon_to_json(g, multiplicity=None):
              "halfEdges": [half_name(g, h) for h in g.chains[i]]}
             for i in range(len(g.vertices))
         ],
-        "iota": [[half_name(g, tgt), half_name(g, src)]
-                 for e in g.edges
-                 for tgt, src in [g.edge_halves[e]]],
+        "iota": [[half_name(g, g._head[e]), half_name(g, g._head[-e])]
+                 for e in g.edges],
     }
     if multiplicity is not None:
         for entry in data["vertices"]:
@@ -369,11 +362,11 @@ def dot_export(g):
     vertex label since dot has no native notion of it."""
     lines = ["graph ribbon {"]
     for i, v in enumerate(g.vertices):
-        order = " > ".join(str(g.half_edge[h]) for h in g.chains[i])
+        order = " > ".join(str(abs(g._into[h])) for h in g.chains[i])
         lines.append('  v%d [label="%s\\n%s"];' % (i, v, order))
     for e in g.edges:
-        tgt, src = g.edge_halves[e]
-        lines.append('  v%d -- v%d [label="%s"];' % (src[0], tgt[0], e))
+        lines.append('  v%d -- v%d [label="%s"];'
+                     % (g._head[-e][0], g._head[e][0], e))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

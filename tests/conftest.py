@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from gentlekit import (from_ribbon, load_gentle, random_marked_ribbon_graph,
-                       short_vectors, to_ribbon)
+from gentlekit import (RibbonGraph, from_ribbon, load_gentle,
+                       random_marked_ribbon_graph, short_vectors, to_ribbon)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -52,5 +52,34 @@ def random_pool():
     kinds = ("any", "tree", "odd1cycle")
     for k in range(500):
         g = random_marked_ribbon_graph(rng, kind=kinds[k % 3])
+        pool.append((g, from_ribbon(g)))
+    return pool
+
+
+@pytest.fixture(scope="session")
+def genus_pool():
+    """200 random marked ribbon graphs past genus 1, plus their quivers,
+    fixed seed: a tree on 1-6 vertices and 3-6 extra edges, each vertex's
+    slots shuffled.  random_pool's generator adds at most 3 extra edges to
+    a tree, so its graphs have genus 0 or 1."""
+    rng = random.Random(1)
+    pool = []
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        ends = [(i, rng.randrange(i)) for i in range(1, n)]
+        ends += [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(3, 6))]
+        # each edge takes a slot at either end, tagged by its two signed ids
+        slots = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(ends, start=1):
+            slots[u].append(eid)
+            slots[v].append(-eid)
+        for lst in slots:
+            rng.shuffle(lst)
+        where = {oe: (i, p) for i, lst in enumerate(slots)
+                 for p, oe in enumerate(lst)}
+        g = RibbonGraph(["v%d" % i for i in range(n)], map(len, slots),
+                        [(e, where[e], where[-e])
+                         for e in range(1, len(ends) + 1)])
         pool.append((g, from_ribbon(g)))
     return pool

@@ -23,8 +23,8 @@ def _graph(vertices, counts, pairs):
 
 
 def _edge_list(g):
-    return [(g.vertices[tgt[0]], g.vertices[src[0]])
-            for tgt, src in (g.edge_halves[e] for e in g.edges)]
+    return [(g.vertices[g.t_half(e)[0]], g.vertices[g.s_half(e)[0]])
+            for e in g.edges]
 
 
 def test_single_edge():

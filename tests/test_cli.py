@@ -248,8 +248,10 @@ _TWO_HALF_VERTICES = ('{"vertices": [{"id": "u", "halfEdges": ["a", "b"]}, '
                       '{"id": "v", "halfEdges": ["c", "d"]}], ')
 IN_TWO_PAIRS = _TWO_HALF_VERTICES + '"iota": [["a", "b"], ["a", "c"]]}'
 UNPAIRED = _TWO_HALF_VERTICES + '"iota": [["a", "c"]]}'
+SELF_PAIRED = _TWO_HALF_VERTICES + '"iota": [["a", "a"], ["b", "c"]]}'
 # the JSON half-edges that the error line must name
-NAMED_HALVES = {IN_TWO_PAIRS: ["'a'"], UNPAIRED: ["'b'", "'d'"]}
+NAMED_HALVES = {IN_TWO_PAIRS: ["'a'"], UNPAIRED: ["'b'", "'d'"],
+                SELF_PAIRED: ["'a'"]}
 
 
 @pytest.mark.parametrize("command,suffix,text", [
@@ -277,6 +279,8 @@ NAMED_HALVES = {IN_TWO_PAIRS: ["'a'"], UNPAIRED: ["'b'", "'d'"]}
                  id="analyze-half-in-two-pairs"),
     pytest.param("analyze", ".rgraph.json", UNPAIRED,
                  id="analyze-unpaired-halves"),
+    pytest.param("analyze", ".rgraph.json", SELF_PAIRED,
+                 id="analyze-half-paired-with-itself"),
     pytest.param("brauer", ".brauer.json", IN_TWO_PAIRS,
                  id="brauer-half-in-two-pairs"),
     pytest.param("brauer", ".brauer.json", UNPAIRED,

@@ -65,13 +65,18 @@ def test_string_complex_shift_moves_degrees():
         tuple(-v for v in k0_class(x0))
 
 
+def _pairs(g):
+    """(edge id, target half, source half) for each edge, in edge order."""
+    return [(e, g.t_half(e), g.s_half(e)) for e in g.edges]
+
+
 def test_walks_on_equal_graphs_build_complexes():
     # a walk must live on to_ribbon(gq) itself: neither an equal copy of the
     # graph nor a differently marked graph on the same edges will do
     gq, g = _pair("amiot1")
     same = to_ribbon(load_fixture("amiot1"))
     assert same is not g
-    assert (same.vertices, same.edge_halves) == (g.vertices, g.edge_halves)
+    assert (same.vertices, _pairs(same)) == (g.vertices, _pairs(g))
     walks = enumerate_reduced_walks(same, 2)
     assert walks
     for w in walks:
@@ -83,7 +88,7 @@ def test_walks_on_equal_graphs_build_complexes():
     swap = {(i, 0): (i, 1), (i, 1): (i, 0)}
     remarked = RibbonGraph(g.vertices, g.counts,
                            [(e, swap.get(h1, h1), swap.get(h2, h2))
-                            for e, (h1, h2) in g.edge_halves.items()])
+                            for e, h1, h2 in _pairs(g)])
     walks = enumerate_reduced_walks(remarked, 3)
     assert walks
     for w in walks:

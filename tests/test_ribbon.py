@@ -5,7 +5,11 @@ import pytest
 
 from gentlekit import (
     RibbonGraph,
+    aag_invariant,
+    coxeter,
     dot_export,
+    euler_analysis,
+    faces,
     forbidden_ribbon,
     from_ribbon,
     incidence_matrix,
@@ -32,15 +36,17 @@ def test_reference_orientation_prefers_larger_half():
     assert g.counts == (3, 1)
     assert g.edges == (1, 2)
     # each edge points at the half with the larger (vertex, position) key
-    assert g.edge_halves == {1: ((1, 0), (0, 1)), 2: ((0, 2), (0, 0))}
-    for eid in g.edges:
-        tgt, src = g.edge_halves[eid]
+    halves = {1: ((1, 0), (0, 1)), 2: ((0, 2), (0, 0))}
+    assert {e: (g.t_half(e), g.s_half(e)) for e in g.edges} == halves
+    for eid, (tgt, src) in halves.items():
         assert tgt > src
         assert g.t_half(eid) == tgt and g.s_half(eid) == src
         assert g.t_half(-eid) == src and g.s_half(-eid) == tgt
         assert g.oriented_with_target(tgt) == eid
         assert g.oriented_with_target(src) == -eid
-        assert g.iota[tgt] == src and g.iota[src] == tgt
+        # each half's partner is the source half of the edge into it
+        assert g.s_half(g.oriented_with_target(tgt)) == src
+        assert g.s_half(g.oriented_with_target(src)) == tgt
 
 
 def test_chain_rotation():
@@ -124,6 +130,23 @@ def test_round_trips():
             ribbon_canonical_form(g), name
 
 
+def test_sweep_past_genus_one(genus_pool):
+    # each call cross-checks its own routes; then both round trips
+    genera = []
+    for k, (g, gq) in enumerate(genus_pool):
+        euler_characteristic = (len(g.vertices) - len(g.edges)
+                                + len(faces(g)))
+        genera.append((2 - euler_characteristic) // 2)
+        euler_analysis(gq)
+        aag_invariant(gq)
+        coxeter(gq)
+        assert ribbon_canonical_form(to_ribbon(gq)) == \
+            ribbon_canonical_form(g), k
+        assert quiver_canonical_form(from_ribbon(to_ribbon(gq))) == \
+            quiver_canonical_form(gq), k
+    assert sum(genus >= 2 for genus in genera) >= 40, genera
+
+
 def test_arrow_half_maps():
     for name in FIXTURE_NAMES:
         gq = load_fixture(name)
@@ -165,8 +188,13 @@ def test_walk_end_tables_match_the_halves():
     for k in range(200):
         g = random_marked_ribbon_graph(rng, kind=kinds[k % 3])
         for oe in g.oriented_edges():
-            assert g.t_vertex(oe) == g.z(g.t_half(oe)), (k, oe)
-            assert g.s_vertex(oe) == g.z(g.s_half(oe)), (k, oe)
+            assert g.t_vertex(oe) == g.vertices[g.t_half(oe)[0]], (k, oe)
+            assert g.s_vertex(oe) == g.vertices[g.s_half(oe)[0]], (k, oe)
+            assert g.oriented_with_target(g.t_half(oe)) == oe, (k, oe)
+            assert g.t_half(-oe) == g.s_half(oe), (k, oe)
+        # each half is the target of exactly one oriented edge
+        targets = sorted(g.t_half(oe) for oe in g.oriented_edges())
+        assert targets == sorted(h for ch in g.chains for h in ch), k
         for v in g.vertices:
             w = trivial_walk(g, v)
             assert w.source_vertex == w.target_vertex == v
@@ -174,16 +202,37 @@ def test_walk_end_tables_match_the_halves():
 
 
 def test_constructor_rejects_bad_pairings():
-    with pytest.raises(ValueError):
-        RibbonGraph(("u",), (2,), [(1, (0, 0), (0, 0))])
-    with pytest.raises(ValueError):
-        RibbonGraph(("u",), (3,), [(1, (0, 0), (0, 1))])  # (0,2) unpaired
-    with pytest.raises(ValueError):
-        RibbonGraph(("u", "u"), (2, 2), [(1, (0, 0), (1, 0)),
-                                         (2, (0, 1), (1, 1))])
-    with pytest.raises(ValueError):
-        RibbonGraph(("u",), (4,), [(1, (0, 0), (0, 1)),
-                                   (1, (0, 2), (0, 3))])
+    rows = [
+        (("u",), (2,), [(1, (0, 0), (0, 0))],
+         "edge 1 pairs a half-edge with itself"),
+        (("u",), (3,), [(1, (0, 0), (0, 1))],  # (0,2) unpaired
+         "some half-edges are not paired"),
+        (("u", "u"), (2, 2), [(1, (0, 0), (1, 0)), (2, (0, 1), (1, 1))],
+         "duplicate vertex id 'u'"),
+        (("u",), (4,), [(1, (0, 0), (0, 1)), (1, (0, 2), (0, 3))],
+         "duplicate edge id 1"),
+        (("u", "v"), (2,), [(1, (0, 0), (0, 1))],
+         "counts/vertices length mismatch"),
+        (("u", "v"), (2, 0), [(1, (0, 0), (0, 1))],
+         "every vertex needs at least one half-edge"),
+        (("u",), (2,), [(1, (0, 0), (0, 2))],
+         r"unknown half-edge \(0, 2\)"),
+        (("u",), (3,), [(1, (0, 0), (0, 1)), (2, (0, 1), (0, 2))],
+         r"half-edge \(0, 1\) used twice"),
+        (("u", "v"), (2, 2), [(1, (0, 0), (0, 1)), (2, (1, 0), (1, 1))],
+         "ribbon graph is not connected"),
+    ]
+    for vertices, counts, pairs, message in rows:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            RibbonGraph(vertices, counts, pairs)
+
+
+def test_is_balanced_on_a_loop():
+    # a loop's two halves sit at one vertex, so its sign condition is
+    # sigma(h)sigma(h') == -1 whatever the vertex sign
+    g = RibbonGraph(("u",), (2,), [(1, (0, 0), (0, 1))])
+    assert is_balanced(g, {(0, 0): 1, (0, 1): -1})
+    assert not is_balanced(g, {(0, 0): 1, (0, 1): 1})
 
 
 def test_constructor_rejects_edge_ids_below_one():
@@ -204,8 +253,9 @@ def test_json_round_trip():
         assert ribbon_canonical_form(once) == ribbon_canonical_form(twice), name
         assert once.vertices == g.vertices and once.counts == g.counts, name
         # same pairing of half-edges, edge ids aside
-        orig = sorted(tuple(sorted(hs)) for hs in g.edge_halves.values())
-        new = sorted(tuple(sorted(hs)) for hs in once.edge_halves.values())
+        orig = sorted(sorted((g.t_half(e), g.s_half(e))) for e in g.edges)
+        new = sorted(sorted((once.t_half(e), once.s_half(e)))
+                     for e in once.edges)
         assert orig == new, name
 
 

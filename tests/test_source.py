@@ -12,11 +12,13 @@ sign is written in parity form, -1 if e % 2 else 1, never as (-1) ** e,
 which is a float when e < 0.
 
 No code is kept that only its own unit test calls: every top-level function
-and class, and every method other than a __dunder__ one, is named somewhere
-outside itself in the library, bench/, README.md or the acceptance tests.
-No state is kept that only unit tests read: every __slots__ entry is read as
-an attribute in the library, bench/ or the acceptance tests, or named in
-README.md.
+and class is named somewhere outside itself in the library, bench/, README.md
+or the acceptance tests, and every method other than a __dunder__ one is read
+as an attribute (x.name) outside itself in the library, bench/ or the
+acceptance tests, or named in README.md.  A local variable of the same name
+does not keep a method alive.  No state is kept that only unit tests read:
+every __slots__ entry is read as an attribute in the library, bench/ or the
+acceptance tests, or named in README.md.
 
 cli.main is the one writer of stdout: sys.stdout and args.format are named
 nowhere else in the library, so the cmd_* handlers return data and main
@@ -53,10 +55,10 @@ def test_no_assert_statements_or_bare_assertion_errors():
     assert found == []
 
 
-def _named(tree):
-    """Every name, attribute and imported name in the tree."""
+def _named(*trees):
+    """Every name, attribute and imported name in the trees."""
     out = set()
-    for node in ast.walk(tree):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -64,6 +66,13 @@ def _named(tree):
         elif isinstance(node, ast.alias):
             out.add(node.name.rpartition(".")[2])
     return out
+
+
+def _read_attributes(*trees):
+    """The name in every attribute read x.name in the trees."""
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def _readme_words():
@@ -78,35 +87,42 @@ def _outside_sources():
 
 
 def test_every_definition_is_named_outside_itself():
-    # __init__.py only re-exports, so a name there does not count
-    outside = _readme_words()
+    # __init__.py only re-exports, so a name there does not count; a
+    # top-level definition counts any name, a method only attribute reads
+    readme = _readme_words()
+    outside = {False: set(readme), True: set(readme)}
     for path in _outside_sources():
-        outside |= _named(ast.parse(path.read_text(), str(path)))
+        tree = ast.parse(path.read_text(), str(path))
+        outside[False] |= _named(tree)
+        outside[True] |= _read_attributes(tree)
     # the names in each statement of each library module, a class split into
-    # the statements of its body: (top-level node, statement, names)
+    # the statements of its body: (top-level node, statement, names counted
+    # for a top-level definition and for a method)
     units, defs = [], []
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(), str(path)).body:
+            # (statement, its trees): a class's header and body statements
+            parts = [(node, [node])]
             if isinstance(node, ast.ClassDef):
                 header = node.bases + node.keywords + node.decorator_list
-                units.append((node, node, set().union(*map(_named, header))))
-                units += [(node, s, _named(s)) for s in node.body]
-                defs += [(path, s) for s in node.body
+                parts = [(node, header)] + [(s, [s]) for s in node.body]
+                defs += [(path, s, True) for s in node.body
                          if isinstance(s, ast.FunctionDef)
                          and not (s.name.startswith("__")
                                   and s.name.endswith("__"))]
-            else:
-                units.append((node, node, _named(node)))
+            units += [(node, stmt, {False: _named(*trees),
+                                    True: _read_attributes(*trees)})
+                      for stmt, trees in parts]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path, node))
+                defs.append((path, node, False))
     # a top-level definition counts only names outside its whole statement,
     # a method also those in the rest of its class
     orphans = ["%s:%d %s" % (path.name, node.lineno, node.name)
-               for path, node in defs
-               if node.name not in outside and not any(
-                   node.name in names for top, stmt, names in units
+               for path, node, method in defs
+               if node.name not in outside[method] and not any(
+                   node.name in names[method] for top, stmt, names in units
                    if node is not top and node is not stmt)]
     assert len(defs) >= 150
     assert orphans == []
@@ -130,9 +146,7 @@ def test_every_slot_is_read():
     slots = []
     for path in [*SOURCES, *_outside_sources()]:
         tree = ast.parse(path.read_text(), str(path))
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load)}
+        read |= _read_attributes(tree)
         if path in SOURCES:
             slots += [(path.name, line, name)
                       for line, name in _slot_entries(tree)]
