@@ -8,11 +8,15 @@ describe one-parameter families; only the fiber dimension of the companion
 automorphism enters any invariant computed here, so it is kept as a number.
 Classes in the Grothendieck group are signed incidence vectors of walks, and
 almost split triangles are read off the extensions of a walk by anti-walks.
+The class search keeps each class as one packed int while it runs and
+decodes the classes it found to tuples at the end.
 """
 
+import sys
+from array import array
 from collections import Counter
 from itertools import accumulate
-from operator import mul
+from operator import mul, neg
 
 from .errors import BoundTooLarge, InternalMismatch, TrivialInput
 from .exact_linalg import short_vectors
@@ -99,8 +103,8 @@ def k0_class(x):
     in degree congruent to m + t, since every junction shifts the degree by
     one, so this is the alternating sum of the terms."""
     if isinstance(x, StringComplex):
-        sign = -1 if x.m % 2 else 1
-        return tuple(sign * v for v in incidence_vector(x.walk))
+        vec = incidence_vector(x.walk)
+        return tuple(map(neg, vec)) if x.m % 2 else vec
     if isinstance(x, BandComplex):
         core = Walk._trusted(x.belt.graph, x.belt.edges[:-1])
         sign = -1 if x.m % 2 else 1
@@ -194,10 +198,16 @@ def walk_q_value(walk):
     (-1)^(len w - 1) e_source, because the two terms at each junction cancel
     (a loop's 2 in B is one count per end); euler_analysis checks gram =
     B B^tr, so q = |B^tr inc(w)|^2 / 2 is 1 on an open walk and 2 or 0 on a
-    closed walk of odd or even length."""
-    if not walk.closed:
+    closed walk of odd or even length.  The ends are the vertices of the
+    last edge's source half and the first edge's target half; a trivial
+    walk has class 0."""
+    e = walk.edges
+    if not e:
+        return 0
+    head = walk.graph._head
+    if head[-e[-1]][0] != head[e[0]][0]:
         return 1
-    return 2 if walk.length % 2 else 0
+    return 2 if len(e) % 2 else 0
 
 
 def enumerate_perfect_classes(gq, max_len):
@@ -216,6 +226,17 @@ def enumerate_perfect_classes(gq, max_len):
     with at least as much length left: that search reached every class the
     skipped walk would, and earlier, so no witness changes.  So a state is
     recorded when its search finishes, never on entry.
+
+    While the search runs, a class is one int, its code: entry i plus
+    2^(8 nb - 1) fills the nb bytes from bit 8 nb i.  An entry changes by
+    one per step, so |entry| <= length, and nb is 1, 2 or 8, enough to
+    hold that: no field overflows or borrows.  So a step adds or
+    subtracts one int, the negative of a class is 2 zero - code, with zero
+    the code of the zero class, and a state is the code plus the last
+    edge's rank above the fields.  The search keeps one iterator per depth
+    over the extensions of the walk at that depth, in chain order, and
+    records the walk's state when that iterator runs out.  Each new +-
+    pair of classes is decoded to tuples once, after the search.
 
     max_len=None searches to length 2n + 2, which reaches every class of a
     positive form; on any other form, which has infinitely many classes, it
@@ -241,44 +262,85 @@ def enumerate_perfect_classes(gq, max_len):
                             "infinitely many" % ea.corank)
     length = 2 * n + 2 if max_len is None else max_len
 
-    # each walk adds its class with both signs, so a class is new exactly
-    # when its negative is
-    classes = {}
-    values = {}
-    edge_index = g.edge_index
+    nb, typecode = ((1, "b") if length < 127 else
+                    (2, "h") if length < 32767 else (8, "q"))
+    bits = 8 * nb
+    zero = sum(1 << (bits * i + bits - 1) for i in range(n))
+    negate = 2 * zero
+    # each oriented edge e as (e, class code step, rank above the fields),
+    # with the step's sign at an odd and at an even length
+    oriented = g.oriented_edges()
+    signed = ({}, {})
+    for r, e in enumerate(oriented):
+        step = 1 << (bits * g.edge_index[abs(e)])
+        signed[0][e] = (e, step, r << (bits * n))
+        signed[1][e] = (e, -step, r << (bits * n))
     after = _successors(g)
+    # the extensions of a walk ending in e, to an odd and to an even length
+    extend = [{e: [table[j] for j in after[e]] for e in oriented}
+              for table in signed]
     # the most length left with which the search below a state finished
     done = {}
+    # each walk adds its class with both signs, so a class is new exactly
+    # when its negative is: seen holds both codes, new the first of a pair
+    seen = {}
+    new = []
     path = [None] * length
-    zero = (0,) * n
-    # an entry (state, 0, left) marks where the search below a walk finishes
-    stack = [(i, 1, zero) for i in reversed(g.oriented_edges())]
-    while stack:
-        e, k, base = stack.pop()
-        if k == 0:
-            done[e] = base
-            continue
-        i = edge_index[abs(e)]
-        vec = base[:i] + (base[i] + (1 if k % 2 else -1),) + base[i + 1:]
-        left = length - k
-        if left and done.get((e, vec), -1) >= left:
-            continue
-        path[k - 1] = e
-        if vec not in classes:
-            w = Walk._trusted(g, tuple(path[:k]))
-            neg = tuple(-v for v in vec)
-            classes[vec] = (0, w)
-            classes.setdefault(neg, (1, w))
-            values[vec] = values[neg] = walk_q_value(w)
-        if left:
-            stack.append(((e, vec), 0, left))
-            stack.extend((j, k + 1, vec) for j in after[e])
+    # todo[k], codes[k] and states[k] belong to the walk path[:k]: the
+    # iterator over its extensions, its class and its state
+    todo = [None] * length
+    codes = [None] * length
+    states = [None] * length
+    k, it, base = 0, iter([signed[0][e] for e in oriented]), zero
+    while True:
+        left = length - k - 1
+        for e, step, rank in it:
+            code = base + step
+            if left:
+                state = code + rank
+                if state in done and done[state] >= left:
+                    continue
+            path[k] = e
+            if code not in seen:
+                seen[code] = seen[negate - code] = Walk._trusted(
+                    g, tuple(path[:k + 1]))
+                new.append(code)
+            if left:
+                todo[k], codes[k] = it, base
+                k += 1
+                states[k] = state
+                it, base = iter(extend[k % 2][e]), code
+                break
+        else:
+            if not k:
+                break
+            done[states[k]] = length - k
+            k -= 1
+            it, base = todo[k], codes[k]
+
+    # decode every new class and its negative in one array: xor with zero
+    # turns each offset field into its entry in two's complement
+    size = n * nb
+    fields = array(typecode, b"".join(
+        [(c ^ zero).to_bytes(size, "little") + ((negate - c) ^ zero).to_bytes(
+            size, "little") for c in new]))
+    if sys.byteorder != "little":
+        fields.byteswap()       # array reads each entry in native order
+    # n entries at a time: a class, then its negative
+    vecs = zip(*[iter(fields)] * n)
+    classes = {}
+    values = {}
+    for code, vec, minus in zip(new, vecs, vecs):
+        w = seen[code]
+        classes[vec] = (0, w)
+        classes.setdefault(minus, (1, w))
+        values[vec] = values[minus] = walk_q_value(w)
     value_counts = dict(Counter(values.values()))
 
     bipartite = ea.nabla == 1
     if positive and length >= 2 * n + 2:
         expected = n * n + n if bipartite else 2 * n * n
-        nonzero = len(classes) - (zero in classes)
+        nonzero = len(classes) - ((0,) * n in classes)
         if nonzero != expected:
             raise InternalMismatch("found %d nonzero classes, expected %d"
                                    % (nonzero, expected))

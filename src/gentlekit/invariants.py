@@ -84,6 +84,13 @@ def _dynkin_tag(unit, nabla, rank, two_v_minus_a):
 
 
 @per_quiver
+def _transpose_and_incidence(gq):
+    """C^tr and the incidence matrix B of to_ribbon(gq), built once per
+    quiver for euler_analysis and coxeter."""
+    return cartan_matrix(gq).transpose(), incidence_matrix(to_ribbon(gq))
+
+
+@per_quiver
 def euler_analysis(gq):
     """The Euler form in the projectives basis (C + C^tr) and, for finite
     global dimension, in the simples basis, with rank and Dynkin data.
@@ -97,10 +104,9 @@ def euler_analysis(gq):
     nv = len(gq.vertices)
     na = len(gq.arrows)
     c = cartan_matrix(gq)
-    c_tr = c.transpose()
+    c_tr, inc = _transpose_and_incidence(gq)
     gram = c + c_tr
     g = to_ribbon(gq)
-    inc = incidence_matrix(g)
     inc_tr = inc.transpose()
     if inc * inc_tr != gram:
         raise InternalMismatch("Gram matrix differs from incidence product")
@@ -237,12 +243,10 @@ def coxeter(gq):
     C X C^tr = C + C^tr.
     """
     euler_analysis(gq)      # checks C + C^tr = B B^tr
-    c = cartan_matrix(gq)
-    g = to_ribbon(gq)
+    c_tr, inc = _transpose_and_incidence(gq)
     j_hat = IntMatrix.from_columns(
         [incidence_vector(w) for w in _anti_walks(gq).values()])
-    c_tr = c.transpose()
-    if c_tr * j_hat != incidence_matrix(g):
+    if c_tr * j_hat != inc:
         raise InternalMismatch("anti-walk matrix fails the incidence identity")
     n = len(gq.vertices)
     # J has one sparse anti-walk column per graph vertex, so J (J^tr C^tr)

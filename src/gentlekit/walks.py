@@ -152,9 +152,12 @@ def degree(w):
 def incidence_vector(w):
     """Alternating edge-indicator sum, +1 on the first written edge."""
     g = w.graph
+    index = g.edge_index
     v = [0] * len(g.edges)
-    for t, e in enumerate(w.edges):
-        v[g.edge_index[abs(e)]] += 1 if t % 2 == 0 else -1
+    for e in w.edges[::2]:
+        v[index[abs(e)]] += 1
+    for e in w.edges[1::2]:
+        v[index[abs(e)]] -= 1
     return tuple(v)
 
 
@@ -290,18 +293,25 @@ def reduced_concat(w1, w2):
     """Concatenate with maximal cancellation at the junction."""
     if w1.graph is not w2.graph:
         raise ValueError("walks live on different graphs")
-    if w1.source_vertex != w2.target_vertex:
+    e1, e2 = w1.edges, w2.edges
+    if e1 and e2:
+        # nontrivial walks meet where the source half of the left walk's
+        # last edge and the target half of the right walk's first edge do
+        head = w1.graph._head
+        meet = head[-e1[-1]][0] == head[e2[0]][0]
+    else:
+        meet = w1.source_vertex == w2.target_vertex
+    if not meet:
         raise NotConcatenable("source of the left walk is %s, target of the "
                               "right walk is %s" % (w1.source_vertex,
                                                     w2.target_vertex))
-    e1, e2 = w1.edges, w2.edges
     if not e1:
         return w2
     if not e2:
         return w1
     k = 0
-    while (k < len(e1) and k < len(e2)
-           and e1[len(e1) - 1 - k] == -e2[k]):
+    most = min(len(e1), len(e2))
+    while k < most and e1[-1 - k] == -e2[k]:
         k += 1
     rest = e1[:len(e1) - k] + e2[k:]
     if not rest:
@@ -313,12 +323,12 @@ def reduced_concat(w1, w2):
 
 
 def _successors(g):
-    """The edges that may follow each oriented edge, listed against the chain
-    order at its source so that a stack pops them in chain order."""
+    """The edges that may follow each oriented edge, in the chain order at
+    its source."""
     after = {}
     for i in g.oriented_edges():
         after[i] = [j for j in map(g.oriented_with_target,
-                                   reversed(g.chains[g.s_half(i)[0]]))
+                                   g.chains[g.s_half(i)[0]])
                     if j != -i]
     return after
 
@@ -336,7 +346,7 @@ def enumerate_reduced_walks(g, max_len):
         edges = stack.pop()
         out.append(Walk._trusted(g, edges))
         if len(edges) < max_len:
-            stack.extend(edges + (j,) for j in after[edges[-1]])
+            stack.extend(edges + (j,) for j in reversed(after[edges[-1]]))
     return out
 
 

@@ -101,6 +101,7 @@ def test_trivial_walk_gives_zero_complex():
     x = build_string_complex(gq, 0, trivial_walk(g, "a1"))
     assert x.terms == () and x.maps == ()
     assert k0_class(x) == (0,) * 6
+    assert derived.walk_q_value(trivial_walk(g, "a1")) == 0
 
 
 def test_one_term_complexes():
@@ -290,7 +291,8 @@ def test_perfect_class_values_match_root_classify():
 
 def test_perfect_classes_need_no_form_arithmetic(monkeypatch):
     # classes extend their prefix's class and values come from the witness,
-    # so the enumeration makes no incidence_vector or qform_eval call
+    # so the enumeration makes no incidence_vector or qform_eval call, builds
+    # no checked Walk, and reads walk_q_value once per class pair
     def snapshot(name):
         pc = enumerate_perfect_classes(load_fixture(name), max_len=6)
         return ({vec: (sign, w.edges) for vec, (sign, w) in pc.classes.items()},
@@ -305,8 +307,21 @@ def test_perfect_classes_need_no_form_arithmetic(monkeypatch):
     for module in (exact_linalg, derived):
         monkeypatch.setattr(module, "qform_eval", forbidden, raising=False)
     monkeypatch.setattr(derived, "incidence_vector", forbidden)
+    monkeypatch.setattr(walks.Walk, "__init__", forbidden)
+    valued = []
+    real_value = derived.walk_q_value
+
+    def counted(w):
+        valued.append(w)
+        return real_value(w)
+
+    monkeypatch.setattr(derived, "walk_q_value", counted)
     for name in FIXTURE_NAMES:
+        valued.clear()
         assert snapshot(name) == expected[name], name
+        classes = expected[name][0]
+        zero = (0,) * len(load_fixture(name).vertices)
+        assert 2 * len(valued) == len(classes) + (zero in classes), name
 
 
 def test_walk_class_path_builds_each_artefact_once(monkeypatch):
@@ -350,10 +365,12 @@ def _quiver_with_edges(rng, kind, n):
 @pytest.mark.parametrize("kind,n", [("tree", 15), ("odd1cycle", 15),
                                     ("tree", 23), ("odd1cycle", 23),
                                     ("tree", 40), ("odd1cycle", 40),
-                                    ("tree", 60), ("odd1cycle", 60)])
+                                    ("tree", 60), ("odd1cycle", 60),
+                                    ("tree", 63)])
 def test_one_roots_are_walk_classes(kind, n):
     # the root theorem as sets on a positive form: the classes of walks with
-    # q = 1 are exactly the vectors with q = 1
+    # q = 1 are exactly the vectors with q = 1; at n = 63 the walks reach
+    # length 128, past what a class entry of one byte holds
     gq = _quiver_with_edges(random.Random("%s:%d" % (kind, n)), kind, n)
     pc = enumerate_perfect_classes(gq, max_len=None)
     assert pc.positive
@@ -436,6 +453,9 @@ def test_state_search_keeps_every_witness():
         assert got == {vec: (sign, w.edges)
                        for vec, (sign, w) in classes.items()}, (name, bound)
         assert pc.values == values, (name, bound)
+        # walk-classes reports the classes in this order
+        assert list(pc.classes) == list(classes), (name, bound)
+        assert list(pc.values) == list(values), (name, bound)
 
 
 def test_saturated_classes_are_checked_against_the_form(monkeypatch, capsys):

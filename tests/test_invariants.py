@@ -20,6 +20,7 @@ from gentlekit import (
     to_ribbon,
 )
 from gentlekit import invariants
+from gentlekit.cli import main
 from gentlekit.invariants import (
     FINGERPRINT_FIELDS,
     aag_invariant,
@@ -32,7 +33,7 @@ from gentlekit.invariants import (
 )
 from gentlekit.walks import parse_walk
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, FIXTURES, load_fixture
 
 EULER_EXPECT = {
     # name: (nabla, rank, corank, dynP, dynS, unitP, unitS, connS)
@@ -193,6 +194,44 @@ def test_coxeter_rejects_a_wrong_char_poly(monkeypatch):
         assert len(gq.arrows) - len(gq.vertices) == e, name
         with pytest.raises(InternalMismatch):
             coxeter(gq)
+
+
+def test_analyze_transposes_c_and_builds_b_once(monkeypatch, capsys):
+    # euler_analysis and coxeter read C^tr and the plain incidence matrix B
+    # off one per-quiver table
+    cartans = []
+    transposed = []
+    plain = []
+    real_cartan = invariants.cartan_matrix
+    real_transpose = IntMatrix.transpose
+    real_incidence = invariants.incidence_matrix
+
+    def cartan(gq):
+        cartans.append(real_cartan(gq))
+        return cartans[-1]
+
+    def transpose(self):
+        transposed.append(self)
+        return real_transpose(self)
+
+    def incidence(g, sigma=None):
+        if sigma is None:
+            plain.append(g)
+        return real_incidence(g, sigma)
+
+    monkeypatch.setattr(invariants, "cartan_matrix", cartan)
+    monkeypatch.setattr(IntMatrix, "transpose", transpose)
+    monkeypatch.setattr(invariants, "incidence_matrix", incidence)
+    for name in FIXTURE_NAMES:
+        cartans.clear()
+        transposed.clear()
+        plain.clear()
+        assert main(["analyze", str(FIXTURES / ("%s.quiver" % name))]) == 0
+        capsys.readouterr()
+        c = cartans[0]
+        assert all(m is c for m in cartans), name
+        assert sum(m is c for m in transposed) == 1, name
+        assert len(plain) == 1, name
 
 
 def test_coxeter_is_minus_c_inverse_c_transpose():
