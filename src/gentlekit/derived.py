@@ -12,7 +12,6 @@ The class search keeps each class as one packed int while it runs and
 decodes the classes it found to tuples at the end.
 """
 
-import sys
 from array import array
 from collections import Counter
 from itertools import accumulate
@@ -227,10 +226,14 @@ def enumerate_perfect_classes(gq, max_len):
     skipped walk would, and earlier, so no witness changes.  So a state is
     recorded when its search finishes, never on entry.
 
-    While the search runs, a class is one int, its code: entry i plus
-    2^(8 nb - 1) fills the nb bytes from bit 8 nb i.  An entry changes by
-    one per step, so |entry| <= length, and nb is 1, 2 or 8, enough to
-    hold that: no field overflows or borrows.  So a step adds or
+    While the search runs, a class is one int, its code: entry i plus 128
+    fills the byte from bit 8 i.  A byte holds every entry, so no field
+    overflows or borrows.  At an integer bound an entry changes by one per
+    step, so |entry| <= max_len <= WALK_LENGTH_LIMIT = 10.  At max_len=None
+    the form is positive, so to_ribbon(gq) is a tree or has one odd cycle,
+    and y = B^tr x determines x: each entry of x is a sum of entries of y
+    with coefficients in [-1, 1].  On a walk class y = e_target +- e_source
+    (see walk_q_value), so every entry lies in [-2, 2].  So a step adds or
     subtracts one int, the negative of a class is 2 zero - code, with zero
     the code of the zero class, and a state is the code plus the last
     edge's rank above the fields.  The search keeps one iterator per depth
@@ -262,19 +265,16 @@ def enumerate_perfect_classes(gq, max_len):
                             "infinitely many" % ea.corank)
     length = 2 * n + 2 if max_len is None else max_len
 
-    nb, typecode = ((1, "b") if length < 127 else
-                    (2, "h") if length < 32767 else (8, "q"))
-    bits = 8 * nb
-    zero = sum(1 << (bits * i + bits - 1) for i in range(n))
+    zero = sum(1 << (8 * i + 7) for i in range(n))
     negate = 2 * zero
     # each oriented edge e as (e, class code step, rank above the fields),
     # with the step's sign at an odd and at an even length
     oriented = g.oriented_edges()
     signed = ({}, {})
     for r, e in enumerate(oriented):
-        step = 1 << (bits * g.edge_index[abs(e)])
-        signed[0][e] = (e, step, r << (bits * n))
-        signed[1][e] = (e, -step, r << (bits * n))
+        step = 1 << (8 * g.edge_index[abs(e)])
+        signed[0][e] = (e, step, r << (8 * n))
+        signed[1][e] = (e, -step, r << (8 * n))
     after = _successors(g)
     # the extensions of a walk ending in e, to an odd and to an even length
     extend = [{e: [table[j] for j in after[e]] for e in oriented}
@@ -320,12 +320,9 @@ def enumerate_perfect_classes(gq, max_len):
 
     # decode every new class and its negative in one array: xor with zero
     # turns each offset field into its entry in two's complement
-    size = n * nb
-    fields = array(typecode, b"".join(
-        [(c ^ zero).to_bytes(size, "little") + ((negate - c) ^ zero).to_bytes(
-            size, "little") for c in new]))
-    if sys.byteorder != "little":
-        fields.byteswap()       # array reads each entry in native order
+    fields = array("b", b"".join(
+        [(c ^ zero).to_bytes(n, "little") + ((negate - c) ^ zero).to_bytes(
+            n, "little") for c in new]))
     # n entries at a time: a class, then its negative
     vecs = zip(*[iter(fields)] * n)
     classes = {}

@@ -395,6 +395,12 @@ def random_marked_ribbon_graph(rng, kind="any", max_vertices=6):
         extra = rng.randint(0 if n > 2 else 1, 3)
         for _ in range(extra):
             ends.append((rng.randrange(n), rng.randrange(n)))
+    return _ribbon_from_ends(rng, n, ends)
+
+
+def _ribbon_from_ends(rng, n, ends):
+    """The marked ribbon graph on vertices v0 .. v(n-1) with the k-th pair
+    of ends as edge k + 1, each vertex's slots in a random order."""
     # each edge takes a slot at either end, tagged by its two signed ids
     slots = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(ends, start=1):
@@ -402,10 +408,7 @@ def random_marked_ribbon_graph(rng, kind="any", max_vertices=6):
         slots[v].append(-eid)
     for lst in slots:
         rng.shuffle(lst)
-    where = {}
-    for i, lst in enumerate(slots):
-        for p, oe in enumerate(lst):
-            where[oe] = (i, p)
-    pairs = [(eid, where[eid], where[-eid]) for eid in range(1, len(ends) + 1)]
-    return RibbonGraph(["v%d" % i for i in range(n)],
-                       [len(lst) for lst in slots], pairs)
+    where = {oe: (i, p) for i, lst in enumerate(slots)
+             for p, oe in enumerate(lst)}
+    pairs = [(e, where[e], where[-e]) for e in range(1, len(ends) + 1)]
+    return RibbonGraph(["v%d" % i for i in range(n)], map(len, slots), pairs)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from gentlekit import (RibbonGraph, from_ribbon, load_gentle,
-                       random_marked_ribbon_graph, short_vectors, to_ribbon)
+from gentlekit import (from_ribbon, load_gentle, random_marked_ribbon_graph,
+                       short_vectors, to_ribbon)
+from gentlekit.ribbon import _ribbon_from_ends
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -69,17 +70,6 @@ def genus_pool():
         ends = [(i, rng.randrange(i)) for i in range(1, n)]
         ends += [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(3, 6))]
-        # each edge takes a slot at either end, tagged by its two signed ids
-        slots = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(ends, start=1):
-            slots[u].append(eid)
-            slots[v].append(-eid)
-        for lst in slots:
-            rng.shuffle(lst)
-        where = {oe: (i, p) for i, lst in enumerate(slots)
-                 for p, oe in enumerate(lst)}
-        g = RibbonGraph(["v%d" % i for i in range(n)], map(len, slots),
-                        [(e, where[e], where[-e])
-                         for e in range(1, len(ends) + 1)])
+        g = _ribbon_from_ends(rng, n, ends)
         pool.append((g, from_ribbon(g)))
     return pool

@@ -7,12 +7,14 @@ from gentlekit import (RibbonGraph, derived, exact_linalg, from_ribbon,
                        walks)
 from gentlekit.derived import (
     BandComplex,
+    WALK_LENGTH_LIMIT,
     ar_translate,
     build_string_complex,
     enumerate_perfect_classes,
     k0_class,
     root_classify,
     root_tag,
+    walk_q_value,
 )
 from gentlekit.cli import main
 from gentlekit.errors import BoundTooLarge, InternalMismatch, TrivialInput
@@ -165,6 +167,28 @@ def test_band_classes_are_zero_roots():
             for d in (1, 2):
                 vec = k0_class(BandComplex(0, belt, d))
                 assert qform_eval(gram, vec) == 0, (name, belt.render())
+
+
+def test_band_check_is_implied_by_the_walk_check(quivers, random_pool,
+                                                 genus_pool):
+    # cli._check_one checks q on every walk of at most 4 edges and has no
+    # band check of its own: the core of each belt met there is one of
+    # those walks, closed and even with q = 0, and a band's class is a
+    # multiple of its core's
+    cases = [*quivers.values(), *(gq for _, gq in random_pool + genus_pool)]
+    for gq in cases:
+        g = to_ribbon(gq)
+        gram = euler_analysis(gq).gramProjectives
+        walks = {w.edges: w for w in enumerate_reduced_walks(g, 4)}
+        belts = [w for w in walks.values() if classify_walk(w) == "belt"]
+        for belt in belts + enumerate_belts(g, 3):
+            assert belt.edges[:-1] in walks, belt.render()
+            core = walks[belt.edges[:-1]]
+            assert classify_walk(core) == "closed-even", belt.render()
+            assert walk_q_value(core) == 0, belt.render()
+            for d in (1, 2):
+                vec = k0_class(BandComplex(0, belt, d))
+                assert qform_eval(gram, vec) == 0, (belt.render(), d)
 
 
 def test_inverse_shift_rule():
@@ -369,11 +393,13 @@ def _quiver_with_edges(rng, kind, n):
                                     ("tree", 63)])
 def test_one_roots_are_walk_classes(kind, n):
     # the root theorem as sets on a positive form: the classes of walks with
-    # q = 1 are exactly the vectors with q = 1; at n = 63 the walks reach
-    # length 128, past what a class entry of one byte holds
+    # q = 1 are exactly the vectors with q = 1.  At n = 63 the walks reach
+    # length 128, yet every class entry lies in [-2, 2], so the one byte the
+    # class search gives an entry still holds it
     gq = _quiver_with_edges(random.Random("%s:%d" % (kind, n)), kind, n)
     pc = enumerate_perfect_classes(gq, max_len=None)
     assert pc.positive
+    assert all(-2 <= v <= 2 for vec in pc.classes for v in vec)
     walk_roots = {vec for vec, val in pc.values.items() if val == 1}
     short = short_vectors(euler_analysis(gq).gramProjectives, 2)
     assert walk_roots == {y for x in short for y in (x, tuple(-v for v in x))}
@@ -390,6 +416,9 @@ def test_random_positive_forms_saturate():
 
 
 def test_bound_too_large():
+    # an integer bound keeps |entry| <= max_len below 127, so the one byte
+    # the class search gives an entry holds it
+    assert WALK_LENGTH_LIMIT < 127
     gq, _ = _pair("sixvertex")
     with pytest.raises(BoundTooLarge):
         enumerate_perfect_classes(gq, max_len=11)

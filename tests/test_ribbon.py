@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -145,6 +146,7 @@ def test_sweep_past_genus_one(genus_pool):
         assert quiver_canonical_form(from_ribbon(to_ribbon(gq))) == \
             quiver_canonical_form(gq), k
     assert sum(genus >= 2 for genus in genera) >= 40, genera
+    assert Counter(genera) == {0: 34, 1: 86, 2: 73, 3: 7}
 
 
 def test_arrow_half_maps():
