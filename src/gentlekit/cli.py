@@ -311,8 +311,7 @@ def _check_one(gq):
                                    % (val, classify_walk(w), w.render()))
         if w.length <= 2:
             tri = ar_translate(gq, 0, w)
-            # the triangle starts at the complex of (0, w), of class vec
-            if psi.apply(k0_class(tri.end)) != vec:
+            if psi.apply(k0_class(tri.end)) != vec:  # tri starts at (0, w)
                 raise InternalMismatch("Coxeter matrix misses the translate "
                                        "of %s" % w.render())
 
