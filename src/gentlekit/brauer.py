@@ -10,6 +10,8 @@ corank of the transposed incidence matrix, which equals the Cartan corank
 because every multiplicity is positive.
 """
 
+from collections import namedtuple
+
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, rank_corank
 from .ribbon import incidence_matrix, is_bipartite, load_json, ribbon_from_json
@@ -58,19 +60,8 @@ def brauer_cartan(bg):
     return inc * diag * inc.transpose()
 
 
-class BrauerVerdict:
-    __slots__ = ("definiteness", "tag", "repType", "corank")
-
-    def __init__(self, definiteness, tag, rep_type, corank):
-        self.definiteness = definiteness
-        self.tag = tag
-        self.repType = rep_type
-        self.corank = corank
-
-    def __repr__(self):
-        return "BrauerVerdict(%s, %s%s)" % (
-            self.definiteness, self.tag,
-            ", %s" % self.repType if self.repType else "")
+BrauerVerdict = namedtuple("BrauerVerdict", (
+    "definiteness", "tag", "repType", "corank"))
 
 
 def brauer_classify(bg):

@@ -3,18 +3,18 @@
 Each cmd_* handler returns (exit code, JSON payload or None, text renderer)
 and writes nothing to stdout.  main alone writes stdout: the payload under
 --format json, else the renderer's text; a payload of None means the output
-ignores --format.  main also turns ValueError and OSError into exit 2 and
-InternalMismatch into exit 3, with one line on stderr and nothing on stdout;
-a usage error from the parser also exits 2 with one stderr line.  Payloads
-take result records through _json, which gives a namedtuple or a __slots__
-record as the dict of its fields, so JSON keys are the field names.
+ignores --format.  main also turns ValueError, OSError and MemoryError into
+exit 2 and InternalMismatch into exit 3, with one line on stderr and nothing
+on stdout; a usage error from the parser also exits 2 with one stderr line.
+Payloads take result records through _json, which gives a record (a
+namedtuple) as the dict of its fields, so JSON keys are the field names.
 The JSON writer, _dump_json, gives the bytes of json.dumps(payload,
 indent=2, sort_keys=True) plus a newline in one pass, without the
 per-token generator that the stdlib encoder falls back to under indent.
 
 Exit codes: 0 success (or inconclusive comparison), 1 provable difference or
-failed property suite, 2 input/validation errors, 3 internal cross-check
-mismatches (which indicate a bug, never bad input).
+failed property suite, 2 input/validation errors or running out of memory,
+3 internal cross-check mismatches (which indicate a bug, never bad input).
 """
 
 import argparse
@@ -94,8 +94,8 @@ def _dump_json(data):
 def _json(x):
     """JSON data for a result object.  A matrix is its rows, a polynomial its
     coefficients, a multiset (an AAG invariant, a Counter) its sorted
-    [*key, count] rows, and any other record, a namedtuple or a __slots__
-    class, the dict of its fields by name."""
+    [*key, count] rows, and a record, a namedtuple, the dict of its fields
+    by name."""
     if isinstance(x, IntMatrix):
         return x.to_lists()
     if isinstance(x, IntPolynomial):
@@ -104,9 +104,8 @@ def _json(x):
         x = x.pairs
     if isinstance(x, Counter):
         return sorted([*key, count] for key, count in x.items())
-    names = getattr(x, "_fields", None) or getattr(x, "__slots__", None)
-    if names:
-        return {name: _json(getattr(x, name)) for name in names}
+    if hasattr(x, "_fields"):
+        return {name: _json(getattr(x, name)) for name in x._fields}
     return x
 
 
@@ -408,6 +407,9 @@ def main(argv=None):
         return 3
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return 2
     sys.stdout.write(out)
     return code

@@ -13,7 +13,7 @@ decodes the classes it found to tuples at the end.
 """
 
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import accumulate
 from operator import mul, neg
 
@@ -114,35 +114,26 @@ def k0_class(x):
 # --- root classification (values of the Euler form) ------------------------
 
 
-class RootClassification:
-    __slots__ = ("value", "tag", "note")
-
-    def __init__(self, value, tag, note):
-        self.value = value
-        self.tag = tag
-        self.note = note
-
-    def __repr__(self):
-        return "RootClassification(%s, q=%d)" % (self.tag, self.value)
+RootClassification = namedtuple("RootClassification", ("value", "tag", "note"))
 
 
-_ROOT_NOTES = {
-    "0-root": "class of a band complex or of a string complex over a closed "
-              "walk of even length, when such a walk exists",
-    "1-root": "class of a string complex over a reduced open walk, when such "
-              "a walk exists",
-    "2-root": "class of a string complex over a closed walk of odd length, "
-              "when such a walk exists",
-    "other": "not the class of any indecomposable perfect complex",
+# the record of each root value, shared by every class with that value
+_ROOTS = {
+    0: RootClassification(0, "0-root", "class of a band complex or of a "
+                          "string complex over a closed walk of even length, "
+                          "when such a walk exists"),
+    1: RootClassification(1, "1-root", "class of a string complex over a "
+                          "reduced open walk, when such a walk exists"),
+    2: RootClassification(2, "2-root", "class of a string complex over a "
+                          "closed walk of odd length, when such a walk "
+                          "exists"),
 }
-
-
-_ROOT_TAGS = {0: "0-root", 1: "1-root", 2: "2-root"}
 
 
 def root_tag(value):
     """The root tag of a value of the Euler form q."""
-    return _ROOT_TAGS.get(value, "other")
+    root = _ROOTS.get(value)
+    return root.tag if root else "other"
 
 
 def root_classify(gq, x):
@@ -154,7 +145,8 @@ def root_classify(gq, x):
     one pass over x and one over y.  It is exact because euler_analysis,
     called here, checks that the Gram matrix C + C^tr is B B^tr.  The Gram
     matrix route, qform_eval, stays the independent one: cli._check_one
-    compares it with walk_q_value on every walk it checks.
+    compares it with walk_q_value on every walk it checks.  Every class
+    with q = 0, 1 or 2 gets the one shared record of that value.
     """
     euler_analysis(gq)      # checks C + C^tr = B B^tr
     g = to_ribbon(gq)
@@ -170,21 +162,16 @@ def root_classify(gq, x):
             y[u] += xi
             y[v] += xi
     val = sum(map(mul, y, y)) // 2
-    tag = root_tag(val)
-    return RootClassification(val, tag, _ROOT_NOTES[tag])
+    return _ROOTS.get(val) or RootClassification(
+        val, "other", "not the class of any indecomposable perfect complex")
 
 
 # --- class enumeration ------------------------------------------------------
 
 
-class PerfectClasses:
-    __slots__ = ("classes", "positive", "value_counts", "values")
-
-    def __init__(self, classes, positive, value_counts, values):
-        self.classes = classes
-        self.positive = positive
-        self.value_counts = value_counts
-        self.values = values         # class -> value of the Euler form q
+# values maps each class to its value of the Euler form q
+PerfectClasses = namedtuple("PerfectClasses", (
+    "classes", "positive", "value_counts", "values"))
 
 
 # walk counts grow exponentially with the length bound
@@ -359,19 +346,7 @@ def _inverse_anti_walks(gq):
     return {v: w.inverse() for v, w in _anti_walks(gq).items()}
 
 
-class ARTriangle:
-    __slots__ = ("start", "middle", "end", "shift")
-
-    def __init__(self, start, middle, end, shift):
-        self.start = start
-        self.middle = tuple(middle)
-        self.end = end
-        self.shift = shift
-
-    def __repr__(self):
-        return "ARTriangle(%r -> %s -> %r)" % (
-            self.start, " + ".join(repr(s) for s in self.middle) or "0",
-            self.end)
+ARTriangle = namedtuple("ARTriangle", ("start", "middle", "end", "shift"))
 
 
 def ar_translate(gq, m, w):
@@ -400,4 +375,5 @@ def ar_translate(gq, m, w):
         middle.append(StringComplex(gq, m + shift, left))
     if not right.trivial:
         middle.append(StringComplex(gq, m, right))
-    return ARTriangle(start, middle, StringComplex(gq, m + shift, both), shift)
+    return ARTriangle(start, tuple(middle),
+                      StringComplex(gq, m + shift, both), shift)

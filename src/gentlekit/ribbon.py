@@ -12,6 +12,7 @@ between consecutive chains.
 """
 
 import json
+from collections import namedtuple
 
 from .errors import InfiniteGlobalDimension
 from .exact_linalg import IntMatrix
@@ -189,14 +190,8 @@ def to_ribbon(gq):
     return _graph_from_threads(gq.permitted, gq.halves_at)
 
 
-class ForbiddenRibbon:
-    """Ribbon graph on the forbidden threads plus its alternating sign map."""
-
-    __slots__ = ("graph", "sigma_hat")
-
-    def __init__(self, graph, sigma_hat):
-        self.graph = graph
-        self.sigma_hat = dict(sigma_hat)
+# the ribbon graph on the forbidden threads and its alternating sign map
+ForbiddenRibbon = namedtuple("ForbiddenRibbon", ("graph", "sigma_hat"))
 
 
 def forbidden_ribbon(gq):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gentlekit import brauer, incidence_matrix, ribbon_from_json
+from gentlekit import brauer, incidence_matrix, ribbon_from_json, to_ribbon
 from gentlekit.brauer import (
     BrauerGraph,
     brauer_cartan,
@@ -12,6 +12,7 @@ from gentlekit.brauer import (
     brauer_from_json,
 )
 from gentlekit.exact_linalg import IntMatrix, det, rank_corank
+from gentlekit.invariants import euler_analysis
 from gentlekit.ribbon import RibbonGraph
 
 from conftest import FIXTURES, definite
@@ -222,3 +223,17 @@ def test_classify_corank_is_cartan_corank():
     for bg in _family_with_multiplicities(16):
         assert rank_corank(brauer_cartan(bg))[1] == \
             brauer_classify(bg).corank
+
+
+def test_trivial_extension_matches_the_euler_form(quivers, random_pool):
+    # the Brauer graph algebra on to_ribbon(gq), all multiplicities 1, is
+    # the trivial extension of the gentle algebra, whose Cartan matrix is
+    # C + C^tr: the symmetrized Euler form in the projectives basis, with
+    # the same corank
+    gqs = [*quivers.values(), *(gq for _, gq in random_pool)]
+    for gq in gqs:
+        bg = BrauerGraph(to_ribbon(gq))
+        ea = euler_analysis(gq)
+        assert brauer_cartan(bg) == ea.gramProjectives, gq
+        assert brauer_classify(bg).corank == ea.corank, gq
+    assert len(gqs) >= 500

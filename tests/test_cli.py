@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import gentlekit
-from gentlekit import invariants, to_ribbon
+from gentlekit import from_ribbon, invariants, to_ribbon
 from gentlekit.cli import _dump_json, build_parser, main
 from gentlekit.derived import ar_translate, k0_class
 from gentlekit.ribbon import RibbonGraph
@@ -329,6 +329,34 @@ def test_vertex_id_zero_is_input_error(capsys, tmp_path):
                        match="edge id 0 is not a positive integer"):
         RibbonGraph(["u", "v", "w"], [1, 2, 1],
                         [(0, (0, 0), (1, 0)), (1, (1, 1), (2, 0))])
+
+
+def test_the_algebra_k_is_refused(capsys, tmp_path):
+    # one vertex and no arrow, as a quiver file and as the ribbon graph of
+    # one edge between two vertices: both are refused for the missing arrow
+    message = "a bound quiver needs at least one arrow"
+    path = tmp_path / "a1.quiver"
+    path.write_text("vertices 1;\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    with pytest.raises(ValueError, match=message):
+        from_ribbon(RibbonGraph(["u", "v"], [1, 1], [(1, (0, 0), (1, 0))]))
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # exit 1 means a semantic difference, so running out of memory is
+    # exit 2 with one stderr line, and no traceback
+    def exhausted(gq, max_len):
+        raise MemoryError
+    monkeypatch.setattr(gentlekit.cli, "enumerate_perfect_classes", exhausted)
+    code, out, err = run_cli(capsys, "roots", fx("tree.quiver"),
+                             "--max-len", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 LONG = "1" * (sys.get_int_max_str_digits() + 700)

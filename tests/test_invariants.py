@@ -15,10 +15,14 @@ from gentlekit import (
     incidence_vector,
     is_bipartite,
     load_gentle,
+    quiver_canonical_form,
     random_marked_ribbon_graph,
     rank_corank,
+    ribbon_canonical_form,
     to_ribbon,
+    validate_gentle,
 )
+from gentlekit.quiver import BoundQuiver
 from gentlekit import invariants
 from gentlekit.cli import main
 from gentlekit.invariants import (
@@ -287,6 +291,48 @@ def test_fingerprint_fields_and_compare():
 
     for field in ("nabla", "corank", "aag", "coxeterPoly"):
         assert field in FINGERPRINT_FIELDS
+
+
+def _relabelled(gq, rng):
+    """gq with new vertex ids and arrow names, declared in a new order."""
+    base = gq.base
+    ids = dict(zip(base.vertices, rng.sample(range(1, 1000),
+                                             len(base.vertices))))
+    names = {a.name: "b%d" % k for k, a in enumerate(base.arrows)}
+    arrows = [(names[a.name], ids[a.source], ids[a.target])
+              for a in base.arrows]
+    relations = [(names[x], names[y]) for x, y in base.relations]
+    for items in (arrows, relations):
+        rng.shuffle(items)
+    return validate_gentle(BoundQuiver(
+        rng.sample(list(ids.values()), len(ids)), arrows, relations))
+
+
+def _opposite(gq):
+    """The opposite algebra: every arrow reversed, so "y then x" is
+    forbidden where "x then y" was."""
+    base = gq.base
+    return validate_gentle(BoundQuiver(
+        base.vertices, [(a.name, a.target, a.source) for a in base.arrows],
+        [(y, x) for x, y in base.relations]))
+
+
+def test_fingerprint_ignores_labels_and_order(quivers, random_pool):
+    # the canonical forms keep ids: the A3 quivers 1 -> 2 -> 3 and
+    # 3 -> 2 -> 1 get different forms and the same fingerprint
+    a3 = load_gentle("vertices 1 2 3; arrow a: 1 -> 2; arrow b: 2 -> 3;")
+    a3_back = load_gentle("vertices 1 2 3; arrow a: 3 -> 2; arrow b: 2 -> 1;")
+    assert quiver_canonical_form(a3) != quiver_canonical_form(a3_back)
+    assert (ribbon_canonical_form(to_ribbon(a3))
+            != ribbon_canonical_form(to_ribbon(a3_back)))
+    assert fingerprint(a3) == fingerprint(a3_back)
+    rng = random.Random(29)
+    gqs = [*quivers.values(), *(gq for _, gq in random_pool)]
+    for gq in gqs:
+        f = fingerprint(gq)
+        assert fingerprint(_relabelled(gq, rng)) == f, gq
+        assert fingerprint(_opposite(gq)) == f, gq
+    assert len(gqs) >= 500
 
 
 def test_per_quiver_results_are_shared_and_frozen():

@@ -17,8 +17,10 @@ or the acceptance tests, and every method other than a __dunder__ one is read
 as an attribute (x.name) outside itself in the library, bench/ or the
 acceptance tests, or named in README.md.  A local variable of the same name
 does not keep a method alive.  No state is kept that only unit tests read:
-every __slots__ entry is read as an attribute in the library, bench/ or the
-acceptance tests, or named in README.md.
+every __slots__ entry and every namedtuple field is read as an attribute in
+the library, bench/ or the acceptance tests, or named in README.md.  A class
+that only stores its arguments in slots is a record, and a record is a
+namedtuple.
 
 cli.main is the one writer of stdout: sys.stdout and args.format are named
 nowhere else in the library, so the cmd_* handlers return data and main
@@ -129,7 +131,8 @@ def test_every_definition_is_named_outside_itself():
 
 
 def _slot_entries(tree):
-    """(line, name) for each entry of each __slots__ tuple in the tree."""
+    """(line, name) for each entry of each __slots__ tuple in the tree, and
+    for each field of each namedtuple("Name", (...)) call."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__slots__"
@@ -137,11 +140,21 @@ def _slot_entries(tree):
             value = node.value
             entries = value.elts if isinstance(value, (ast.Tuple, ast.List)) \
                 else [value]
-            for entry in entries:
-                yield node.lineno, entry.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "namedtuple"):
+            entries = node.args[1].elts
+        else:
+            continue
+        for entry in entries:
+            yield node.lineno, entry.value
 
 
 def test_every_slot_is_read():
+    """Every __slots__ entry and every field of a namedtuple("Name", (...))
+    call in the library is read as x.name in the library, bench/ or the
+    acceptance tests, or named in README.md.  Output fields that only
+    cli._json reads, through _fields, are named in README's list of JSON
+    keys."""
     read = _readme_words()
     slots = []
     for path in [*SOURCES, *_outside_sources()]:
@@ -153,6 +166,66 @@ def test_every_slot_is_read():
     unread = ["%s:%d %s" % slot for slot in slots if slot[2] not in read]
     assert len(slots) >= 40
     assert unread == []
+
+
+def _stored_argument(value, args):
+    """The argument that value is, or that a call of one name on it is
+    (tuple(x), dict(x)), else None."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and len(value.args) == 1 and not value.keywords):
+        value = value.args[0]
+    if isinstance(value, ast.Name) and value.id in args:
+        return value.id
+    return None
+
+
+def _is_record_class(node):
+    """Does the class body hold only a docstring, __slots__, an __init__
+    that stores each of its arguments in one slot, and maybe __repr__?"""
+    slots, init = None, None
+    for stmt in node.body:
+        if (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str)):
+            continue
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id == "__slots__"):
+            slots = stmt.value
+        elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            init = stmt
+        elif not (isinstance(stmt, ast.FunctionDef)
+                  and stmt.name == "__repr__"):
+            return False
+    if slots is None or init is None:
+        return False
+    names = [e.value for e in getattr(slots, "elts", [slots])]
+    args = [a.arg for a in init.args.args[1:]]
+    stored = {}
+    for stmt in init.body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Attribute)
+                and isinstance(stmt.targets[0].value, ast.Name)
+                and stmt.targets[0].value.id == "self"):
+            return False
+        stored[stmt.targets[0].attr] = _stored_argument(stmt.value, args)
+    return (sorted(stored) == sorted(names)
+            and sorted(stored.values(), key=str) == sorted(args))
+
+
+def test_records_are_namedtuples():
+    """A class whose body only stores its constructor's arguments in its
+    slots is a record; it is written as a namedtuple, whose fields
+    test_every_slot_is_read checks like slots."""
+    classes, records = 0, []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                classes += 1
+                if _is_record_class(node):
+                    records.append("%s:%d %s"
+                                   % (path.name, node.lineno, node.name))
+    assert classes >= 10
+    assert records == []
 
 
 def _output_nodes(tree):
