@@ -30,8 +30,8 @@ from .derived import (ar_translate, enumerate_perfect_classes, k0_class,
                       root_classify, root_tag, walk_q_value)
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, IntPolynomial, qform_eval
-from .invariants import AAGInvariant, aag_invariant, compare, coxeter, \
-    euler_analysis, fingerprint, ribbon_faces
+from .invariants import aag_invariant, compare, coxeter, euler_analysis, \
+    fingerprint, ribbon_faces
 from .quiver import load_gentle
 from .ribbon import (dot_export, from_ribbon, half_name,
                      quiver_canonical_form, random_marked_ribbon_graph,
@@ -100,8 +100,6 @@ def _json(x):
         return x.to_lists()
     if isinstance(x, IntPolynomial):
         return list(x.coeffs)
-    if isinstance(x, AAGInvariant):
-        x = x.pairs
     if isinstance(x, Counter):
         return sorted([*key, count] for key, count in x.items())
     if hasattr(x, "_fields"):
@@ -223,8 +221,7 @@ def cmd_walk(args):
         lines.append("triangle: (%d, %s) -> %s -> (%d, %s), shift %d"
                      % (args.shift, w.render(),
                         " + ".join("(%d, %s)" % (s["m"], s["walk"])
-                                   for s in payload["arTriangle"]["middle"])
-                        or "0",
+                                   for s in payload["arTriangle"]["middle"]),
                         tri.end.m, tri.end.walk.render(), tri.shift))
         return "\n".join(lines) + "\n"
     return 0, payload, text

@@ -11,7 +11,7 @@ Hessenberg reduction meets a non-dividing pivot.  Every result is exact.
 """
 
 import math
-from operator import add, index, neg, sub
+from operator import add, index, sub
 
 from .errors import InternalMismatch
 
@@ -90,14 +90,7 @@ class IntMatrix:
     def __sub__(self, other):
         return self._entrywise(sub, other)
 
-    def __neg__(self):
-        return IntMatrix._trusted(tuple(tuple(map(neg, r)) for r in self.rows),
-                                  self.ncols)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix._trusted(tuple(tuple(a * other for a in r)
-                                            for r in self.rows), self.ncols)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch %r * %r" % (self.shape, other.shape))
         # row i of the product is the sum of a * (row k of other) over the
@@ -113,6 +106,8 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out), other.ncols)
 
+    # no caller multiplies by a scalar; the name stays because the
+    # benchmark's tracer (bench/tracing.py) rebinds it with __mul__
     __rmul__ = __mul__
 
     def apply(self, vec):
@@ -301,9 +296,6 @@ class IntPolynomial:
     def monomial(cls, n):
         return cls([0] * n + [1])
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 
@@ -326,18 +318,12 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([other * v for v in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:

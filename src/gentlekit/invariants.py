@@ -146,23 +146,12 @@ def euler_analysis(gq):
 # --- AAG invariant ---------------------------------------------------------
 
 
-class AAGInvariant:
+class AAGInvariant(Counter):
     """Multiset of pairs (n, m) with multiplicities."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = Counter(pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, AAGInvariant) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(frozenset(self.pairs.items()))
 
     def __str__(self):
         bits = []
-        for (n, m), cnt in sorted(self.pairs.items()):
+        for (n, m), cnt in sorted(self.items()):
             bits.append("(%d,%d)" % (n, m) + ("x%d" % cnt if cnt > 1 else ""))
         return "{" + ", ".join(bits) + "}"
 
@@ -257,7 +246,7 @@ def coxeter(gq):
     poly = char_poly(psi)
     aag = aag_invariant(gq)
     prod = IntPolynomial.const(1)
-    for (nn, mm), cnt in sorted(aag.pairs.items()):
+    for (nn, mm), cnt in sorted(aag.items()):
         if nn == 0:
             continue
         sign = -1 if (nn + mm) % 2 else 1

@@ -182,7 +182,6 @@ def _period(seq):
     for p in range(1, n + 1):
         if n % p == 0 and all(seq[k] == seq[k % p] for k in range(n)):
             return p
-    return n
 
 
 def is_belt(w):

@@ -159,11 +159,14 @@ def test_walk_text(capsys):
     assert "(closed-odd)" in out
 
 
-def test_walk_bad_edge_is_input_error(capsys):
-    code, _, err = run_cli(capsys, "walk", fx("amiot1.quiver"),
-                           "--walk", "99")
-    assert code == 2
-    assert "error:" in err
+@pytest.mark.parametrize("walk,message", [
+    ("99", "no oriented edge 99"),
+    ("", "empty walk"),
+    ("x", "bad edge token 'x'")])
+def test_walk_bad_edge_is_input_error(capsys, walk, message):
+    code, out, err = run_cli(capsys, "walk", fx("amiot1.quiver"),
+                             "--walk", walk)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("walk,message", [
@@ -404,6 +407,21 @@ def test_duplicate_vertex_id_is_named(capsys, tmp_path, suffix, text, named):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("arrow a: 1 -> 2;\n", "no vertices declared"),
+    ("vertices 1 2 3; arrow a: 1 -> 2; arrow b: 2 -> 3; rel a.b;\n",
+     "relation a.b is not a composable pair"),
+    ("vertices 1 2 3 4; arrow a: 1 -> 2; arrow b: 3 -> 4;\n",
+     "quiver is not connected"),
+], ids=["no-vertices", "relation-not-composable", "disconnected"])
+def test_quiver_structure_error_is_input_error(capsys, tmp_path, text,
+                                               message):
+    path = tmp_path / "bad.quiver"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,6 +157,9 @@ def test_band_complex_frozen():
         BandComplex(0, parse_walk(g, "2 -3 -5"), 1)
     with pytest.raises(ValueError):
         BandComplex(0, belt, 0)
+    # a walk is neither a string nor a band complex
+    with pytest.raises(TypeError):
+        k0_class(belt)
 
 
 def test_band_classes_are_zero_roots():

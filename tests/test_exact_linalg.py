@@ -39,6 +39,10 @@ def test_det_and_char_poly():
     assert p.coeffs == (4, -6, 1)
     assert char_poly(IntMatrix.identity(3)).coeffs == (-1, 3, -3, 1)
     assert det(IntMatrix([[0, 1], [1, 0]])) == -1
+    wide = IntMatrix([[1, 2]])
+    for f in (det, char_poly, lambda g: short_vectors(g, 2)):
+        with pytest.raises(NotSquare):
+            f(wide)
 
 
 def _cofactor_det(rows):
@@ -155,12 +159,15 @@ def test_char_poly_matches_rank_on_random_symmetric():
 def test_matrix_algebra_round_trips():
     m = IntMatrix([[1, 2], [3, 4]])
     assert (m * IntMatrix.identity(2)).to_lists() == m.to_lists()
-    assert (2 * m).to_lists() == [[2, 4], [6, 8]]
+    assert (m + m).to_lists() == [[2, 4], [6, 8]]
     assert m.transpose().transpose().to_lists() == m.to_lists()
     assert (m - m).to_lists() == [[0, 0], [0, 0]]
     cols = IntMatrix.from_columns([(1, 3), (2, 4)])
     assert cols.to_lists() == m.to_lists()
     assert m.apply((1, 1)) == (3, 7)
+    with pytest.raises(ValueError,
+                       match=r"shape mismatch \(1, 1\) vs \(1, 2\)"):
+        IntMatrix([[1]]) + IntMatrix([[1, 2]])
 
 
 def test_from_columns_rejects_ragged_columns():
@@ -247,12 +254,11 @@ def test_derived_matrices_pass_outside_validation():
         a = IntMatrix(_random_rows(rng, n, k, 0.6))
         a2 = IntMatrix(_random_rows(rng, n, k, 0.6))
         b = IntMatrix(_random_rows(rng, k, m, 0.6))
-        c = rng.randint(-3, 3)
-        for r in (a + a2, a - a2, -a, a * c, c * a, a * b, a.transpose(),
+        for r in (a + a2, a - a2, a * b, a.transpose(),
                   (a * b).transpose() - b.transpose() * a.transpose()):
             _assert_passes_outside_check(r)
     empty = IntMatrix([])
-    for r in (empty + empty, -empty, empty * 2, empty * empty, empty.transpose()):
+    for r in (empty + empty, empty - empty, empty * empty, empty.transpose()):
         _assert_passes_outside_check(r)
 
 
@@ -303,12 +309,6 @@ def test_products_match_written_out_loops():
         assert a.apply(vec) == _loop_apply(a, vec)
         assert a.apply((0,) * a.ncols) == (0,) * a.nrows
     m = IntMatrix([[1, 0, -2], [0, 0, 0], [3, 4, 0]])
-    for c in (2, 0, -3):
-        scaled = [[c * x for x in r] for r in m.rows]
-        assert (c * m).to_lists() == scaled
-        assert (m * c).to_lists() == scaled
-        assert m.__rmul__(c).to_lists() == scaled
-    assert (2 * IntMatrix([[], []])).shape == (2, 0)
     assert IntMatrix([[], []]).apply(()) == (0, 0)
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]]) * IntMatrix([[1, 2]])
@@ -595,6 +595,8 @@ def test_polynomial_arithmetic():
     assert ((z + one) ** 2).coeffs == (1, 2, 1)
     assert str((z + one) ** 2) == "z^2 + 2*z + 1"
     assert str(p) == "z^2 - 1"
+    with pytest.raises(ValueError, match="negative power"):
+        IntPolynomial([1, 1]) ** -1
     # the zero polynomial has an empty coefficient tuple
     assert IntPolynomial.const(0).coeffs == ()
 
@@ -701,7 +703,8 @@ def test_root_counts_against_naive_box():
         bm = IntMatrix(b)
         # doubled to keep the diagonal even, shifted to force definiteness;
         # q(x) >= |x|^2 so roots of value <= 2 fit in the small box below
-        m = (bm * bm.transpose() + IntMatrix.identity(n)) * 2
+        m = bm * bm.transpose() + IntMatrix.identity(n)
+        m = m + m
         got = _root_counts(m)
         lists = m.to_lists()
         naive = {1: 0, 2: 0}

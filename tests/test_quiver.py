@@ -52,6 +52,14 @@ def test_parse_errors():
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\narrow a1: 2 -> 1;")
     with pytest.raises(QuiverStructureError):
         load_gentle("vertices 1 2;\narrow a1: 1 -> 2;\nrel b.a1;")
+    with pytest.raises(QuiverStructureError, match="no vertices declared"):
+        load_gentle("arrow a: 1 -> 2;")
+    with pytest.raises(QuiverStructureError,
+                       match=r"relation a\.b is not a composable pair"):
+        load_gentle("vertices 1 2 3; arrow a: 1 -> 2; arrow b: 2 -> 3; "
+                    "rel a.b;")
+    with pytest.raises(QuiverStructureError, match="quiver is not connected"):
+        load_gentle("vertices 1 2 3 4; arrow a: 1 -> 2; arrow b: 3 -> 4;")
 
 
 def test_readme_newline_example():
@@ -429,6 +437,9 @@ def test_string_function_pair_check_rejects():
     bad = StringFunctionPair(dict(good.S), dict(good.T))
     bad.T["a1"] = -bad.T["a1"]
     assert not bad.check(b)
+    with pytest.raises(ValueError,
+                       match=r"direction must map vertex 1 to \+1 or -1"):
+        string_functions(gq, {1: 0, 2: 1})
 
 
 def test_render_round_trip():

@@ -11,11 +11,12 @@ exact_linalg.char_poly, for a Hessenberg pivot that does not divide.  A
 sign is written in parity form, -1 if e % 2 else 1, never as (-1) ** e,
 which is a float when e < 0.
 
-No code is kept that only its own unit test calls: every top-level function
-and class is named somewhere outside itself in the library, bench/, README.md
-or the acceptance tests, and every method other than a __dunder__ one is read
-as an attribute (x.name) outside itself in the library, bench/ or the
-acceptance tests, or named in README.md.  A local variable of the same name
+No code is kept that only its own unit test calls: every top-level function,
+class and namedtuple record (Name = namedtuple(...)) is named somewhere
+outside itself in the library, bench/, README.md or the acceptance tests,
+and every method other than a __dunder__ one is read as an attribute
+(x.name) outside itself in the library, bench/ or the acceptance tests, or
+named in README.md.  A local variable of the same name
 does not keep a method alive.  No state is kept that only unit tests read:
 every __slots__ entry and every namedtuple field is read as an attribute in
 the library, bench/ or the acceptance tests, or named in README.md.  A class
@@ -88,6 +89,20 @@ def _outside_sources():
             ROOT / "tests" / "test_acceptance.py"]
 
 
+def _definition_name(node):
+    """The name a top-level statement defines: that of a def or class, or
+    the Name of Name = namedtuple(...); else None."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "namedtuple"):
+        return node.targets[0].id
+    return None
+
+
 def test_every_definition_is_named_outside_itself():
     # __init__.py only re-exports, so a name there does not count; a
     # top-level definition counts any name, a method only attribute reads
@@ -110,23 +125,25 @@ def test_every_definition_is_named_outside_itself():
             if isinstance(node, ast.ClassDef):
                 header = node.bases + node.keywords + node.decorator_list
                 parts = [(node, header)] + [(s, [s]) for s in node.body]
-                defs += [(path, s, True) for s in node.body
+                defs += [(path, s, s.name, True) for s in node.body
                          if isinstance(s, ast.FunctionDef)
                          and not (s.name.startswith("__")
                                   and s.name.endswith("__"))]
             units += [(node, stmt, {False: _named(*trees),
                                     True: _read_attributes(*trees)})
                       for stmt, trees in parts]
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path, node, False))
+            name = _definition_name(node)
+            if name:
+                defs.append((path, node, name, False))
     # a top-level definition counts only names outside its whole statement,
     # a method also those in the rest of its class
-    orphans = ["%s:%d %s" % (path.name, node.lineno, node.name)
-               for path, node, method in defs
-               if node.name not in outside[method] and not any(
-                   node.name in names[method] for top, stmt, names in units
+    orphans = ["%s:%d %s" % (path.name, node.lineno, name)
+               for path, node, name, method in defs
+               if name not in outside[method] and not any(
+                   name in names[method] for top, stmt, names in units
                    if node is not top and node is not stmt)]
     assert len(defs) >= 150
+    assert sum(isinstance(node, ast.Assign) for _, node, _, _ in defs) >= 9
     assert orphans == []
 
 

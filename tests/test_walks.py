@@ -109,6 +109,9 @@ def test_degree_steps_frozen():
     assert incidence_vector(w) == (1, 0, -1, -1, 1, 1)
     with pytest.raises(NotReduced):
         degree(parse_walk(g, "2 -3 3"))
+    with pytest.raises(NotConcatenable,
+                       match="junction halves at different vertices"):
+        deg_step(_ribbon("amiot1"), 1, 3)
 
 
 def test_degree_antisymmetry():
@@ -301,6 +304,16 @@ def test_reduced_concat():
     # partial cancellation
     c = reduced_concat(parse_walk(g, "-1 3"), parse_walk(g, "-3 1 -4"))
     assert c.render() == "-1 1 -4"[-5:] or c.render() == "-4"
+    # a trivial walk on the right leaves the left walk as it is
+    assert reduced_concat(w, trivial_walk(g, w.source_vertex)) is w
+    with pytest.raises(NotConcatenable, match="source of the left walk is b1, "
+                       "target of the right walk is a1"):
+        reduced_concat(w, parse_walk(g, "3"))
+    # an equal copy of the graph is still another graph
+    other = _ribbon("amiot1")
+    assert other is not g
+    with pytest.raises(ValueError, match="walks live on different graphs"):
+        reduced_concat(w, parse_walk(other, "3"))
 
 
 def test_enumerate_reduced_walks():
