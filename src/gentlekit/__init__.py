@@ -10,7 +10,7 @@ from .quiver import (BoundQuiver, GentleQuiver, GentlenessViolation,
                      render_quiver, string_functions, validate_gentle)
 from .ribbon import (ForbiddenRibbon, RibbonGraph, dot_export,
                      forbidden_ribbon, from_ribbon, incidence_matrix,
-                     is_balanced, is_bipartite, quiver_canonical_form,
+                     is_bipartite, quiver_canonical_form,
                      random_marked_ribbon_graph, ribbon_canonical_form,
                      ribbon_from_json, ribbon_to_json, to_ribbon)
 from .walks import (Face, NotConcatenable, NotReduced, UnknownEdge, Walk,

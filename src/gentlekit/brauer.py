@@ -1,8 +1,9 @@
 """Brauer graph algebras: Cartan data and positivity from graph shape.
 
-The Cartan matrix of a Brauer graph algebra decomposes over the vertices of
-the graph as a multiplicity-weighted sum of rank-one blocks built from the
-plain incidence matrix, so it never sees the cyclic orders.  Positive
+The Cartan matrix of a Brauer graph algebra is the multiplicity-weighted sum
+over the graph vertices v of m_v b_v b_v^tr, b_v the column of v in the
+plain incidence matrix B, so it never sees the cyclic orders; it is the one
+product of B, its columns scaled by the multiplicities, with B^tr.  Positive
 definiteness is equivalent to the graph being a tree or having exactly one
 cycle of odd length, independently of the multiplicities; both sides of that
 equivalence are computed and compared here.  The definiteness side reads the
@@ -11,6 +12,7 @@ because every multiplicity is positive.
 """
 
 from collections import namedtuple
+from operator import mul
 
 from .errors import InternalMismatch
 from .exact_linalg import IntMatrix, rank_corank
@@ -51,13 +53,13 @@ def brauer_from_json(data):
 
 
 def brauer_cartan(bg):
-    """Sum over vertices of multiplicity times the rank-one incidence block."""
+    """One product: the incidence matrix with column v scaled by m_v, times
+    its transpose, so entry (e, f) is sum_v m_v inc[e][v] inc[f][v]."""
     inc = incidence_matrix(bg.graph)
-    n = len(bg.graph.vertices)
-    diag = IntMatrix._trusted(
-        tuple(tuple(bg.multiplicity[bg.graph.vertices[i]] if i == j else 0
-                    for j in range(n)) for i in range(n)), n)
-    return inc * diag * inc.transpose()
+    mult = [bg.multiplicity[v] for v in bg.graph.vertices]
+    scaled = IntMatrix._trusted(tuple(tuple(map(mul, row, mult))
+                                      for row in inc.rows), inc.ncols)
+    return scaled * inc.transpose()
 
 
 BrauerVerdict = namedtuple("BrauerVerdict", (

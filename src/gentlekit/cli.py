@@ -293,7 +293,6 @@ def _check_one(gq):
     closed and even with q = 0, and a band's class is a multiple of its
     core's."""
     c = euler_analysis(gq).gramProjectives
-    aag_invariant(gq)
     psi, _ = coxeter(gq)
     g = to_ribbon(gq)
     if quiver_canonical_form(from_ribbon(g)) != quiver_canonical_form(gq):

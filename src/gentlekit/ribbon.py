@@ -139,36 +139,23 @@ def incidence_matrix(g, sigma=None):
 
 
 def is_bipartite(g):
-    """No loops and a proper 2-colouring.  With every half signed +1,
-    is_balanced asks for opposite colours across each edge and rejects
-    loops; a RibbonGraph is connected, so one colouring covers it."""
-    return is_balanced(g, dict.fromkeys(g._into, 1))
-
-
-def is_balanced(g, sigma):
-    """Can vertex signs phi be chosen with phi(u)phi(v) == -sigma(h)sigma(h')
-    for every edge {h, h'}?  Loops force their own sign condition."""
-    n = len(g.vertices)
-    adj = {i: [] for i in range(n)}
-    for e in g.edges:
-        tgt, src = g._head[e], g._head[-e]
-        eps = -sigma[tgt] * sigma[src]
-        if tgt[0] == src[0]:
-            if eps != 1:
-                return False
-            continue
-        adj[tgt[0]].append((src[0], eps))
-        adj[src[0]].append((tgt[0], eps))
-    phi = {0: 1}
+    """A proper 2-colouring of the vertices, which no loop has.  A
+    RibbonGraph is connected, so one colouring from vertex 0 covers it."""
+    adj = [[] for _ in g.vertices]
+    for u, v in g._edge_ends:
+        if u == v:
+            return False
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = {0: 0}
     stack = [0]
     while stack:
-        v = stack.pop()
-        for w, eps in adj[v]:
-            want = phi[v] * eps
-            if w not in phi:
-                phi[w] = want
-                stack.append(w)
-            elif phi[w] != want:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in colour:
+                colour[v] = 1 - colour[u]
+                stack.append(v)
+            elif colour[v] == colour[u]:
                 return False
     return True
 

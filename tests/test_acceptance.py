@@ -13,7 +13,6 @@ from gentlekit import (
     cartan_matrix,
     from_ribbon,
     incidence_matrix,
-    load_gentle,
     random_marked_ribbon_graph,
     to_ribbon,
 )
@@ -56,7 +55,7 @@ from gentlekit.walks import (
     parse_walk,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES
 from test_quiver import _count_pairs_bruteforce
 
 

@@ -1,17 +1,16 @@
 import itertools
-import json
 import random
 
 import pytest
 
-from gentlekit import brauer, incidence_matrix, ribbon_from_json, to_ribbon
+from gentlekit import brauer, incidence_matrix, to_ribbon
 from gentlekit.brauer import (
     BrauerGraph,
     brauer_cartan,
     brauer_classify,
     brauer_from_json,
 )
-from gentlekit.exact_linalg import IntMatrix, det, rank_corank
+from gentlekit.exact_linalg import det, rank_corank
 from gentlekit.invariants import euler_analysis
 from gentlekit.ribbon import RibbonGraph
 
@@ -85,7 +84,32 @@ def test_trivial_multiplicity_is_incidence_product():
     assert brauer_cartan(bg).to_lists() == (inc * inc.transpose()).to_lists()
 
 
+def _written_out_cartan(bg):
+    """Sum over graph vertices v of m_v b_v b_v^tr, entry by entry, where
+    b_v[e] counts the halves of edge e at v."""
+    g = bg.graph
+    ne = len(g.edges)
+    out = [[0] * ne for _ in range(ne)]
+    for i, v in enumerate(g.vertices):
+        b = [(g.t_half(e)[0] == i) + (g.s_half(e)[0] == i) for e in g.edges]
+        for e in range(ne):
+            for f in range(ne):
+                out[e][f] += bg.multiplicity[v] * b[e] * b[f]
+    return out
+
+
 def test_multiplicity_additivity():
+    # every multigraph of criterion 10's family, loops and parallel edges
+    # included, with multiplicities 1-4, against the written-out sum
+    pool = list(_family_with_multiplicities(17))
+    for bg in pool:
+        assert brauer_cartan(bg).to_lists() == _written_out_cartan(bg)
+    edge_lists = [_edge_list(bg.graph) for bg in pool]
+    assert any(a == b for edges in edge_lists for a, b in edges)
+    assert any(len(set(map(frozenset, edges))) < len(edges)
+               for edges in edge_lists)
+    assert sum(not bg.trivial_multiplicity for bg in pool) >= 1000
+
     tri = _graph(("u", "v", "w"), (2, 2, 2),
                  [(1, (0, 0), (1, 1)), (2, (1, 0), (2, 1)),
                   (3, (2, 0), (0, 1))])

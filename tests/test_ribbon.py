@@ -14,7 +14,6 @@ from gentlekit import (
     forbidden_ribbon,
     from_ribbon,
     incidence_matrix,
-    is_balanced,
     is_bipartite,
     random_marked_ribbon_graph,
     ribbon_canonical_form,
@@ -92,13 +91,11 @@ def test_forbidden_ribbon_frozen():
     assert fr.graph.vertices == ("a1", "triv:1", "triv:2")
     assert incidence_matrix(fr.graph, fr.sigma_hat).to_lists() == [
         [1, 1, 0], [-1, 0, 1]]
-    assert is_balanced(fr.graph, fr.sigma_hat)
 
     fr = forbidden_ribbon(load_fixture("smallrow2"))
     assert fr.graph.vertices == ("a1", "triv:2")
     assert incidence_matrix(fr.graph, fr.sigma_hat).to_lists() == [
         [2, 0], [-1, 1]]
-    assert not is_balanced(fr.graph, fr.sigma_hat)
 
     fr = forbidden_ribbon(load_fixture("amiot1"))
     assert fr.graph.vertices == ("b3", "a1", "a2", "triv:5")
@@ -227,14 +224,6 @@ def test_constructor_rejects_bad_pairings():
     for vertices, counts, pairs, message in rows:
         with pytest.raises(ValueError, match="^%s$" % message):
             RibbonGraph(vertices, counts, pairs)
-
-
-def test_is_balanced_on_a_loop():
-    # a loop's two halves sit at one vertex, so its sign condition is
-    # sigma(h)sigma(h') == -1 whatever the vertex sign
-    g = RibbonGraph(("u",), (2,), [(1, (0, 0), (0, 1))])
-    assert is_balanced(g, {(0, 0): 1, (0, 1): -1})
-    assert not is_balanced(g, {(0, 0): 1, (0, 1): 1})
 
 
 def test_constructor_rejects_edge_ids_below_one():

@@ -12,16 +12,16 @@ sign is written in parity form, -1 if e % 2 else 1, never as (-1) ** e,
 which is a float when e < 0.
 
 No code is kept that only its own unit test calls: every top-level function,
-class and namedtuple record (Name = namedtuple(...)) is named somewhere
-outside itself in the library, bench/, README.md or the acceptance tests,
-and every method other than a __dunder__ one is read as an attribute
-(x.name) outside itself in the library, bench/ or the acceptance tests, or
-named in README.md.  A local variable of the same name
-does not keep a method alive.  No state is kept that only unit tests read:
-every __slots__ entry and every namedtuple field is read as an attribute in
-the library, bench/ or the acceptance tests, or named in README.md.  A class
-that only stores its arguments in slots is a record, and a record is a
-namedtuple.
+class and namedtuple record (Name = namedtuple(...)) is read somewhere
+outside itself in the library, bench/ or the acceptance tests, or named in
+README.md; a name that is only imported does not count.  Every method other
+than a __dunder__ one is read as an attribute (x.name) outside itself in the
+library, bench/ or the acceptance tests, or named in README.md.  A local
+variable of the same name does not keep a method alive.  No state is kept
+that only unit tests read: every __slots__ entry and every namedtuple field
+is read as an attribute in the library, bench/ or the acceptance tests, or
+named in README.md.  A class that only stores its arguments in slots is a
+record, and a record is a namedtuple.
 
 cli.main is the one writer of stdout: sys.stdout and args.format are named
 nowhere else in the library, so the cmd_* handlers return data and main
@@ -58,24 +58,19 @@ def test_no_assert_statements_or_bare_assertion_errors():
     assert found == []
 
 
-def _named(*trees):
-    """Every name, attribute and imported name in the trees."""
-    out = set()
-    for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rpartition(".")[2])
-    return out
-
-
 def _read_attributes(*trees):
     """The name in every attribute read x.name in the trees."""
     return {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+
+def _named(*trees):
+    """Every name and attribute read in the trees: a name that is only
+    imported or assigned to does not count."""
+    return _read_attributes(*trees) | {
+        node.id for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _readme_words():
