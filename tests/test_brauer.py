@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -220,11 +221,17 @@ def test_definiteness_oracle_on_random_brauer_graphs():
     assert min(seen.values()) >= 40, seen
 
 
+@functools.cache
+def _family_graphs():
+    """Criterion 10's graph family, enumerated once for the tests here;
+    a RibbonGraph is immutable, so they can share it."""
+    return [_ribbon_from_slots(nv, slots) for nv, slots in _graph_family()]
+
+
 def _family_with_multiplicities(seed):
     """Criterion 10's graph family, each graph with multiplicities 1-4."""
     rng = random.Random(seed)
-    for nv, slots in _graph_family():
-        g = _ribbon_from_slots(nv, slots)
+    for g in _family_graphs():
         yield BrauerGraph(g, {v: rng.randrange(1, 5) for v in g.vertices})
 
 
