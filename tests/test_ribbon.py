@@ -226,6 +226,18 @@ def test_constructor_rejects_bad_pairings():
             RibbonGraph(vertices, counts, pairs)
 
 
+def test_is_bipartite_on_a_loop():
+    # a loop joins a vertex to itself, so no 2-colouring is proper, even
+    # where the loop sits away from vertex 0 on an otherwise bipartite path
+    assert not is_bipartite(RibbonGraph(("u",), (2,), [(1, (0, 0), (0, 1))]))
+    path = [(1, (0, 0), (1, 0)), (2, (1, 1), (2, 0))]
+    assert is_bipartite(RibbonGraph(("u", "v", "w"), (1, 2, 1), path))
+    assert not is_bipartite(RibbonGraph(("u", "v", "w"), (1, 2, 3),
+                                        path + [(3, (2, 1), (2, 2))]))
+    assert not is_bipartite(RibbonGraph(("u", "v", "w"), (3, 2, 1),
+                                        [(3, (0, 1), (0, 2))] + path))
+
+
 def test_constructor_rejects_edge_ids_below_one():
     # an oriented edge is a signed edge id, so an edge id is positive
     for eid in (0, -3):
